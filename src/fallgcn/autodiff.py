@@ -6,6 +6,14 @@ needs: matmul, elementwise add/multiply, relu, temporal convolutions
 frames/joints, global average pooling, layer normalization, dropout,
 channel concatenation, softmax, and cross-entropy.
 
+Activations keep one layout, [N, C, T, V], and the convolution kernels
+work on it natively: flattening (frame, joint) into one axis turns the
+pointwise convolution into one batched matrix product per call, the
+temporal taps into strided windows of an input padded once, and the
+dense temporal convolution into a single stacked (im2col) matrix
+product. No
+op transposes its input to another layout and back.
+
 Every op runs eagerly on numpy arrays. While a :class:`GradTape` is
 active, ops whose inputs require gradients append a record; the
 backward pass replays the records in exact reverse execution order and
@@ -17,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -205,7 +214,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         return (g * mask,)
 
-    return _make(np.where(mask, x.data, 0.0), (x,), backward)
+    return _make(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -224,16 +233,20 @@ def _check_nctv(name: str, x: Tensor) -> None:
         raise ShapeError(f"{name}: expected a [N,C,T,V] tensor, got shape {x.shape}")
 
 
-def _shift_frames(x: np.ndarray, s: int) -> np.ndarray:
-    """shifted[..., t, :] = x[..., t + s, :]; out-of-range frames are zero."""
-    if s == 0:
-        return x
-    out = np.zeros_like(x)
-    if s > 0:
-        out[:, :, :-s, :] = x[:, :, s:, :]
-    else:
-        out[:, :, -s:, :] = x[:, :, :s, :]
-    return out
+def _frame_windows(x: np.ndarray, k_t: int) -> np.ndarray:
+    """Read-only [N, C, k_t, T*V] view of ``x`` [N,C,T,V] zero-padded once.
+
+    ``windows[n, c, i, t*V + j] = x[n, c, t + i - k_t//2, j]``, zero where
+    that frame is out of range: with (frame, joint) flattened, tap i of
+    every output position is one slice of the padded input, so the k_t
+    taps are strided views of a single buffer.
+    """
+    n, c, t, v = x.shape
+    r = k_t // 2
+    padded = np.zeros((n, c, t + 2 * r, v))
+    padded[:, :, r:r + t] = x
+    flat = padded.reshape(n, c, (t + 2 * r) * v)
+    return sliding_window_view(flat, t * v, axis=2)[:, :, ::v]
 
 
 def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
@@ -249,23 +262,20 @@ def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     k_t = kernel.shape[1]
     if k_t % 2 != 1:
         raise ShapeError(f"depthwise_tconv: kernel width {k_t} must be odd")
-    r = k_t // 2
-    taps = kernel.data[:, :, None, None]  # [C, k_t, 1, 1] broadcast view
-    out = np.zeros_like(x.data)
-    for i in range(k_t):
-        out += taps[:, i] * _shift_frames(x.data, i - r)
+    n, c, t, v = x.shape
+    windows = _frame_windows(x.data, k_t)
+    out = np.einsum("ncit,ci->nct", windows, kernel.data).reshape(x.shape)
 
     def backward(g):
         dx = None
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            for i in range(k_t):
-                dx += taps[:, i] * _shift_frames(g, r - i)
+            # tap i reads frame t+i-r, so frame t gets gradient from output
+            # t-i+r: the same windows over g with the taps reversed
+            flipped = kernel.data[:, ::-1]
+            dx = np.einsum("ncit,ci->nct", _frame_windows(g, k_t), flipped).reshape(x.shape)
         dk = None
         if kernel.requires_grad:
-            dk = np.empty_like(kernel.data)
-            for i in range(k_t):
-                dk[:, i] = (g * _shift_frames(x.data, i - r)).sum(axis=(0, 2, 3))
+            dk = np.einsum("ncit,nct->ci", windows, g.reshape(n, c, t * v))
         return (dx, dk)
 
     return _make(out, (x, kernel), backward)
@@ -283,39 +293,30 @@ def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError(f"dense_tconv: kernel width {k_t} must be odd")
     r = k_t // 2
     n, _, t, v = x.shape
-    out = np.zeros((n, c_out, t, v))
-    for i in range(k_t):
-        shifted = _shift_frames(x.data, i - r)
-        out += np.tensordot(kernel.data[:, :, i], shifted, axes=([1], [1])).transpose(
-            1, 0, 2, 3
-        )
+    # im2col: row c*k_t + i of the columns is tap i of input channel c,
+    # which is also the row-major order of the kernel's last two axes
+    w2 = kernel.data.reshape(c_out, c_in * k_t)
+
+    def columns() -> np.ndarray:
+        return _frame_windows(x.data, k_t).reshape(n, c_in * k_t, t * v)
+
+    out = np.matmul(w2, columns()).reshape(n, c_out, t, v)
 
     def backward(g):
+        g3 = g.reshape(n, c_out, t * v)
         dx = None
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
+            d_cols = np.matmul(w2.T, g3).reshape(n, c_in, k_t, t * v)
+            padded = np.zeros((n, c_in, (t + 2 * r) * v))
             for i in range(k_t):
-                back = np.tensordot(kernel.data[:, :, i], g, axes=([0], [1]))
-                dx += _shift_frames(back.transpose(1, 0, 2, 3), r - i)
+                padded[:, :, i * v:i * v + t * v] += d_cols[:, :, i]
+            dx = padded[:, :, r * v:r * v + t * v].reshape(x.shape)
         dk = None
         if kernel.requires_grad:
-            dk = np.empty_like(kernel.data)
-            for i in range(k_t):
-                shifted = _shift_frames(x.data, i - r)
-                dk[:, :, i] = np.tensordot(g, shifted, axes=([0, 2, 3], [0, 2, 3]))
+            dk = np.matmul(g3, columns().transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
         return (dx, dk)
 
     return _make(out, (x, kernel), backward)
-
-
-def _channels_last(x: np.ndarray) -> np.ndarray:
-    n, c, t, v = x.shape
-    return x.transpose(0, 2, 3, 1).reshape(n * t * v, c)
-
-
-def _channels_first(m: np.ndarray, like: tuple[int, ...]) -> np.ndarray:
-    n, _, t, v = like
-    return m.reshape(n, t, v, -1).transpose(0, 3, 1, 2)
 
 
 def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
@@ -325,15 +326,14 @@ def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
         raise ShapeError(
             f"pointwise_conv: weight {weight.shape} does not match input {x.shape}"
         )
-    flat = _channels_last(x.data)
-    out = _channels_first(flat @ weight.data, x.shape)
+    n, c, t, v = x.shape
+    x3 = x.data.reshape(n, c, t * v)
+    out = np.matmul(weight.data.T, x3).reshape(n, -1, t, v)
 
     def backward(g):
-        g_flat = _channels_last(g)
-        dx = None
-        if x.requires_grad:
-            dx = _channels_first(g_flat @ weight.data.T, x.shape)
-        dw = flat.T @ g_flat if weight.requires_grad else None
+        g3 = g.reshape(n, -1, t * v)
+        dx = np.matmul(weight.data, g3).reshape(x.shape) if x.requires_grad else None
+        dw = np.matmul(x3, g3.transpose(0, 2, 1)).sum(axis=0) if weight.requires_grad else None
         return (dx, dw)
 
     return _make(out, (x, weight), backward)
@@ -367,7 +367,7 @@ def _max_pool_axis(x: Tensor, axis: int, opname: str) -> Tensor:
     _check_nctv(opname, x)
     idx = x.data.argmax(axis=axis)
     peak = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    out = np.broadcast_to(peak, x.shape).copy()
+    out = np.broadcast_to(peak, x.shape)  # a view: the peak is stored once
 
     def backward(g):
         total = g.sum(axis=axis, keepdims=True)

@@ -18,6 +18,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -57,7 +58,11 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray],
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read back (arrays in original order, metadata dict)."""
+    """Read back (arrays in original order, metadata dict).
+
+    Any malformed content raises :class:`CheckpointError` naming the
+    path and the byte offset where the bad field starts.
+    """
     buf = Path(path).read_bytes()
     pos = 0
 
@@ -69,24 +74,46 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         pos += n
         return chunk
 
+    def text(n: int, what: str) -> str:
+        start = pos
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: {what} at byte {start} is not UTF-8") from exc
+
     if take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a fallgcn container")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported container version {version}")
     (meta_len,) = struct.unpack("<Q", take(8))
-    meta = json.loads(take(meta_len).decode("utf-8")) if meta_len else {}
+    meta_at = pos
+    meta = {}
+    if meta_len:
+        try:
+            meta = json.loads(text(meta_len, "metadata"))
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: metadata at byte {meta_at} is not JSON: {exc}"
+            ) from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata at byte {meta_at} is not a JSON object")
     (count,) = struct.unpack("<Q", take(8))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = text(name_len, "record name")
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise CheckpointError(f"{path}: record '{name}' has unknown dtype code {code}")
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(take(n_items * 8), dtype=_DTYPES[code]).reshape(shape)
+        n_bytes = math.prod(shape) * _DTYPES[code].itemsize  # Python ints: no wrap
+        if n_bytes > len(buf) - pos:
+            raise CheckpointError(
+                f"{path}: truncated at byte {pos}: record '{name}' of shape {shape} "
+                f"needs {n_bytes} bytes, {len(buf) - pos} left"
+            )
+        data = np.frombuffer(take(n_bytes), dtype=_DTYPES[code]).reshape(shape)
         arrays[name] = data.astype(data.dtype.newbyteorder("="), copy=True)
     if pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes")

@@ -12,6 +12,17 @@ def test_relu_values():
     assert np.array_equal(out.data, [0.0, 0.0, 3.0])
 
 
+def test_relu_propagates_nan_and_masks_gradient():
+    x = parameter(np.array([np.nan, -1.0, 2.0]))
+    with GradTape() as tape:
+        out = ad.relu(x)
+        loss = ad.sum_all(ad.mul(out, Tensor(np.array([5.0, 6.0, 7.0]))))
+    assert np.isnan(out.data[0])
+    assert np.array_equal(out.data[1:], [0.0, 2.0])
+    (gx,) = tape.gradients(loss, [x])
+    assert np.array_equal(gx, [0.0, 0.0, 7.0])
+
+
 def test_softmax_symmetry():
     out = ad.softmax(Tensor([[0.0, 0.0]]))
     assert np.allclose(out.data, [[0.5, 0.5]])

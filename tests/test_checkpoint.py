@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,47 @@ def test_rejects_bad_magic_and_truncation(tmp_path):
 def test_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         save_arrays(tmp_path / "x", {"a": np.ones(3, dtype=np.float32)})
+
+
+def _container(meta: bytes, records: bytes = b"", count: int = 0) -> bytes:
+    """A hand-built container: header, raw metadata bytes, raw records."""
+    return (b"FGCN" + struct.pack("<I", 1) + struct.pack("<Q", len(meta)) + meta
+            + struct.pack("<Q", count) + records)
+
+
+def _record_header(name: bytes, shape: tuple[int, ...]) -> bytes:
+    return (struct.pack("<H", len(name)) + name + struct.pack("<BB", 0, len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape))
+
+
+def test_rejects_shape_whose_size_wraps_to_zero(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in u64/i64 arithmetic; the record needs 2**67 bytes
+    path = tmp_path / "x"
+    path.write_bytes(_container(b"{}", _record_header(b"a", (2 ** 32, 2 ** 32)), count=1))
+    wrapped = f"truncated at byte 47: record 'a'.* needs {2 ** 67} bytes"
+    with pytest.raises(CheckpointError, match=wrapped):
+        load_arrays(path)
+
+
+def test_rejects_record_larger_than_file(tmp_path):
+    path = tmp_path / "x"
+    path.write_bytes(_container(b"", _record_header(b"a", (3,)) + b"\x00" * 16, count=1))
+    with pytest.raises(CheckpointError, match=r"needs 24 bytes, 16 left"):
+        load_arrays(path)
+
+
+def test_rejects_bad_metadata(tmp_path):
+    path = tmp_path / "x"
+    meta_at = 16  # magic, version, meta length
+    for meta, why in ((b"\xff\xfe{}", "not UTF-8"), (b"{oops", "not JSON"),
+                      (b"[1, 2]", "not a JSON object")):
+        path.write_bytes(_container(meta))
+        with pytest.raises(CheckpointError, match=f"metadata at byte {meta_at} is {why}"):
+            load_arrays(path)
+
+
+def test_rejects_non_utf8_record_name(tmp_path):
+    path = tmp_path / "x"
+    path.write_bytes(_container(b"", _record_header(b"\xff", ()) + b"\x00" * 8, count=1))
+    with pytest.raises(CheckpointError, match="record name at byte 26 is not UTF-8"):
+        load_arrays(path)

@@ -80,6 +80,15 @@ def test_divergence_aborts_with_location():
         train(model, toy_clips(8), toy_clips(4, seed=1), hp)
 
 
+def test_nan_feeding_a_relu_aborts_training():
+    # relu must pass NaN on rather than clamp it to 0 and hide it
+    model = fresh_model()
+    model.head.fc1.weight.data[0, 0] = np.nan
+    hp = Hyperparams(batch_size=4, epochs=1, seed=0)
+    with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
+        train(model, toy_clips(8), toy_clips(4, seed=1), hp)
+
+
 def test_train_validates_inputs():
     model = fresh_model()
     with pytest.raises(ValueError, match="non-empty"):
