@@ -19,9 +19,20 @@ active, ops whose inputs require gradients append a record; the
 backward pass replays the records in exact reverse execution order and
 accumulates analytic gradients. With no tape active, ops are plain
 forward computations (evaluation mode).
+
+A record holds no :class:`Tensor`: only the output's key, the keys of
+the inputs that need a gradient, and a backward closure that captures
+just the arrays, shapes and flags its backward reads. So an activation
+no backward reads is freed as soon as the forward code drops it, and
+one that is read is freed once the backward walk has replayed its last
+reader, because the walk pops each record as it goes. Gradients are
+accumulated by :attr:`Tensor.key`, a process-unique counter, and not by
+``id()``: a freed tensor's ``id()`` can be reused by a later one, which
+would merge two gradients. A tape is therefore single-use.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,19 +43,24 @@ class ShapeError(ValueError):
     """Raised when an op receives incompatible tensor shapes."""
 
 
+_KEYS = itertools.count()
+
+
 class Tensor:
     """Dense multi-dimensional array of 64-bit reals.
 
     ``requires_grad`` marks trainable leaves; it propagates to op
     outputs so the tape only tracks the differentiable subgraph.
+    ``key`` is unique within the process and names the tensor on a tape.
     """
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "requires_grad", "name", "key")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.name = name
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,7 +87,9 @@ def parameter(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
-# Backward fn: upstream gradient -> one gradient (or None) per input.
+# Backward fn: upstream gradient -> one gradient (or None) per input. The
+# tape drops the gradient of an input that needs none, so a cheap one may
+# be returned anyway.
 BackwardFn = Callable[[np.ndarray], tuple]
 
 _TAPE_STACK: list["GradTape"] = []
@@ -84,10 +102,17 @@ class GradTape:
     :meth:`gradients` with the scalar loss. The backward walk visits
     records strictly in reverse execution order, so gradients for a
     tensor are fully accumulated before its producing op runs.
+
+    A record is ``(output key, input keys, backward)``, with ``None`` for
+    an input that needs no gradient; it pins no :class:`Tensor`, so keys
+    and not ``id()`` identify tensors. :meth:`gradients` pops each record
+    as it replays it, which frees the arrays its closure held: the tape
+    can be replayed only once.
     """
 
     def __init__(self) -> None:
-        self._ops: list[tuple[Tensor, tuple[Tensor, ...], BackwardFn]] = []
+        self._ops: list[tuple[int, tuple[int | None, ...], BackwardFn]] = []
+        self._replayed = False
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -101,28 +126,36 @@ class GradTape:
         return len(self._ops)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: BackwardFn) -> None:
-        self._ops.append((out, inputs, backward))
+        keys = tuple(t.key if t.requires_grad else None for t in inputs)
+        self._ops.append((out.key, keys, backward))
 
     def gradients(self, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
         """Reverse-mode gradients of ``loss`` with respect to ``params``.
 
         Parameters that do not influence the loss get exactly-zero
         gradients. ``loss`` must be a scalar produced under this tape.
+        Consumes the tape: a second call raises ``RuntimeError``.
         """
+        if self._replayed:
+            raise RuntimeError("backward: this tape was already replayed; "
+                               "record a new GradTape for each backward pass")
         if loss.data.shape != ():
             raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-        accum: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for out, inputs, backward in reversed(self._ops):
-            g = accum.pop(id(out), None)
+        self._replayed = True
+        accum: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=np.float64)}
+        ops = self._ops
+        while ops:
+            out_key, in_keys, backward = ops.pop()
+            g = accum.pop(out_key, None)
             if g is None:
                 continue
-            for tensor, grad in zip(inputs, backward(g)):
-                if grad is None:
+            for key, grad in zip(in_keys, backward(g)):
+                if key is None or grad is None:
                     continue
-                prev = accum.get(id(tensor))
-                accum[id(tensor)] = grad if prev is None else prev + grad
+                prev = accum.get(key)
+                accum[key] = grad if prev is None else prev + grad
         return [
-            np.array(accum[id(p)]) if id(p) in accum else np.zeros_like(p.data)
+            np.array(accum[p.key]) if p.key in accum else np.zeros_like(p.data)
             for p in params
         ]
 
@@ -148,7 +181,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
 
     def backward(g):
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
+        return (g, g)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -156,11 +189,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes differ, {a.shape} vs {b.shape}")
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
         return (
-            g * b.data if a.requires_grad else None,
-            g * a.data if b.requires_grad else None,
+            g * b_data if b_data is not None else None,
+            g * a_data if a_data is not None else None,
         )
 
     return _make(a.data * b.data, (a, b), backward)
@@ -182,11 +217,13 @@ def scale(x: Tensor, factor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
         return (
-            g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None,
+            g @ b_data.T if b_data is not None else None,
+            a_data.T @ g if a_data is not None else None,
         )
 
     return _make(a.data @ b.data, (a, b), backward)
@@ -198,12 +235,10 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bias_add: bias {b.shape} does not match axis 1 of {x.shape}")
     view = b.data.reshape((1, -1) + (1,) * (x.ndim - 2))
     reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
+    b_grad = b.requires_grad
 
     def backward(g):
-        return (
-            g if x.requires_grad else None,
-            g.sum(axis=reduce_axes) if b.requires_grad else None,
-        )
+        return (g, g.sum(axis=reduce_axes) if b_grad else None)
 
     return _make(x.data + view, (x, b), backward)
 
@@ -218,8 +253,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    shape = x.shape
+
     def backward(g):
-        return (np.full(x.shape, float(g)),)
+        return (np.full(shape, float(g)),)
 
     return _make(np.asarray(x.data.sum()), (x,), backward)
 
@@ -262,19 +299,21 @@ def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     k_t = kernel.shape[1]
     if k_t % 2 != 1:
         raise ShapeError(f"depthwise_tconv: kernel width {k_t} must be odd")
-    n, c, t, v = x.shape
+    shape = n, c, t, v = x.shape
     windows = _frame_windows(x.data, k_t)
-    out = np.einsum("ncit,ci->nct", windows, kernel.data).reshape(x.shape)
+    out = np.einsum("ncit,ci->nct", windows, kernel.data).reshape(shape)
+    # tap i reads frame t+i-r, so frame t gets gradient from output t-i+r:
+    # the same windows over g with the taps reversed
+    flipped = kernel.data[:, ::-1] if x.requires_grad else None
+    if not kernel.requires_grad:
+        windows = None
 
     def backward(g):
         dx = None
-        if x.requires_grad:
-            # tap i reads frame t+i-r, so frame t gets gradient from output
-            # t-i+r: the same windows over g with the taps reversed
-            flipped = kernel.data[:, ::-1]
-            dx = np.einsum("ncit,ci->nct", _frame_windows(g, k_t), flipped).reshape(x.shape)
+        if flipped is not None:
+            dx = np.einsum("ncit,ci->nct", _frame_windows(g, k_t), flipped).reshape(shape)
         dk = None
-        if kernel.requires_grad:
+        if windows is not None:
             dk = np.einsum("ncit,nct->ci", windows, g.reshape(n, c, t * v))
         return (dx, dk)
 
@@ -292,28 +331,32 @@ def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     if k_t % 2 != 1:
         raise ShapeError(f"dense_tconv: kernel width {k_t} must be odd")
     r = k_t // 2
-    n, _, t, v = x.shape
+    shape = n, _, t, v = x.shape
     # im2col: row c*k_t + i of the columns is tap i of input channel c,
     # which is also the row-major order of the kernel's last two axes
     w2 = kernel.data.reshape(c_out, c_in * k_t)
 
-    def columns() -> np.ndarray:
-        return _frame_windows(x.data, k_t).reshape(n, c_in * k_t, t * v)
+    def columns(x_data: np.ndarray) -> np.ndarray:
+        return _frame_windows(x_data, k_t).reshape(n, c_in * k_t, t * v)
 
-    out = np.matmul(w2, columns()).reshape(n, c_out, t, v)
+    out = np.matmul(w2, columns(x.data)).reshape(n, c_out, t, v)
+    x_data = x.data if kernel.requires_grad else None
+    if not x.requires_grad:
+        w2 = None
 
     def backward(g):
         g3 = g.reshape(n, c_out, t * v)
         dx = None
-        if x.requires_grad:
+        if w2 is not None:
             d_cols = np.matmul(w2.T, g3).reshape(n, c_in, k_t, t * v)
             padded = np.zeros((n, c_in, (t + 2 * r) * v))
             for i in range(k_t):
                 padded[:, :, i * v:i * v + t * v] += d_cols[:, :, i]
-            dx = padded[:, :, r * v:r * v + t * v].reshape(x.shape)
+            dx = padded[:, :, r * v:r * v + t * v].reshape(shape)
         dk = None
-        if kernel.requires_grad:
-            dk = np.matmul(g3, columns().transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+        if x_data is not None:
+            dk = np.matmul(g3, columns(x_data).transpose(0, 2, 1)).sum(axis=0).reshape(
+                c_out, c_in, k_t)
         return (dx, dk)
 
     return _make(out, (x, kernel), backward)
@@ -326,14 +369,17 @@ def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
         raise ShapeError(
             f"pointwise_conv: weight {weight.shape} does not match input {x.shape}"
         )
-    n, c, t, v = x.shape
+    shape = n, c, t, v = x.shape
     x3 = x.data.reshape(n, c, t * v)
     out = np.matmul(weight.data.T, x3).reshape(n, -1, t, v)
+    w = weight.data if x.requires_grad else None
+    if not weight.requires_grad:
+        x3 = None
 
     def backward(g):
         g3 = g.reshape(n, -1, t * v)
-        dx = np.matmul(weight.data, g3).reshape(x.shape) if x.requires_grad else None
-        dw = np.matmul(x3, g3.transpose(0, 2, 1)).sum(axis=0) if weight.requires_grad else None
+        dx = np.matmul(w, g3).reshape(shape) if w is not None else None
+        dw = np.matmul(x3, g3.transpose(0, 2, 1)).sum(axis=0) if x3 is not None else None
         return (dx, dw)
 
     return _make(out, (x, weight), backward)
@@ -347,13 +393,17 @@ def spatial_aggregate(x: Tensor, adj: Tensor) -> Tensor:
         raise ShapeError(
             f"spatial_aggregate: adjacency {adj.shape} does not match joints of {x.shape}"
         )
+    shape = x.shape
     flat = x.data.reshape(-1, v)
-    out = (flat @ adj.data.T).reshape(x.shape)
+    out = (flat @ adj.data.T).reshape(shape)
+    adj_data = adj.data if x.requires_grad else None
+    if not adj.requires_grad:
+        flat = None
 
     def backward(g):
         g_flat = g.reshape(-1, v)
-        dx = (g_flat @ adj.data).reshape(x.shape) if x.requires_grad else None
-        dadj = g_flat.T @ flat if adj.requires_grad else None
+        dx = (g_flat @ adj_data).reshape(shape) if adj_data is not None else None
+        dadj = g_flat.T @ flat if flat is not None else None
         return (dx, dadj)
 
     return _make(out, (x, adj), backward)
@@ -367,11 +417,12 @@ def _max_pool_axis(x: Tensor, axis: int, opname: str) -> Tensor:
     _check_nctv(opname, x)
     idx = x.data.argmax(axis=axis)
     peak = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    out = np.broadcast_to(peak, x.shape)  # a view: the peak is stored once
+    shape = x.shape
+    out = np.broadcast_to(peak, shape)  # a view: the peak is stored once
 
     def backward(g):
         total = g.sum(axis=axis, keepdims=True)
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape)
         np.put_along_axis(dx, np.expand_dims(idx, axis), total, axis=axis)
         return (dx,)
 
@@ -391,10 +442,10 @@ def max_pool_joints(x: Tensor) -> Tensor:
 def global_avg_pool(x: Tensor) -> Tensor:
     """[N, C, T, V] -> [N, C] by averaging every (frame, joint) position."""
     _check_nctv("global_avg_pool", x)
-    n, c, t, v = x.shape
+    shape = n, c, t, v = x.shape
 
     def backward(g):
-        return (np.broadcast_to(g[:, :, None, None] / (t * v), x.shape).copy(),)
+        return (np.broadcast_to(g[:, :, None, None] / (t * v), shape).copy(),)
 
     return _make(x.data.mean(axis=(2, 3)), (x,), backward)
 
@@ -424,16 +475,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = centered * inv_std
     out = gamma.data.reshape(pshape) * xhat + beta.data.reshape(pshape)
     reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
+    gamma_b = gamma.data.reshape(pshape) if x.requires_grad else None
+    gamma_grad, beta_grad = gamma.requires_grad, beta.requires_grad
 
     def backward(g):
         dx = None
-        if x.requires_grad:
-            dxhat = g * gamma.data.reshape(pshape)
+        if gamma_b is not None:
+            dxhat = g * gamma_b
             m1 = dxhat.mean(axis=1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
             dx = inv_std * (dxhat - m1 - xhat * m2)
-        dgamma = (g * xhat).sum(axis=reduce_axes) if gamma.requires_grad else None
-        dbeta = g.sum(axis=reduce_axes) if beta.requires_grad else None
+        dgamma = (g * xhat).sum(axis=reduce_axes) if gamma_grad else None
+        dbeta = g.sum(axis=reduce_axes) if beta_grad else None
         return (dx, dgamma, dbeta)
 
     return _make(out, (x, gamma, beta), backward)
@@ -471,10 +524,7 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     offsets = np.cumsum([0] + widths)
 
     def backward(g):
-        return tuple(
-            g[:, offsets[i]:offsets[i + 1]] if t.requires_grad else None
-            for i, t in enumerate(tensors)
-        )
+        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(widths)))
 
     return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), backward)
 
@@ -505,9 +555,10 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
         )
     picked = probs.data[np.arange(n), labels]
     loss = np.asarray(-np.log(picked).mean())
+    shape = probs.shape
 
     def backward(g):
-        dp = np.zeros_like(probs.data)
+        dp = np.zeros(shape)
         dp[np.arange(n), labels] = -float(g) / (n * picked)
         return (dp,)
 

@@ -1,5 +1,9 @@
 """Forward values and tape gradients of every engine op, checked
-against hand arithmetic and central finite differences."""
+against hand arithmetic and central finite differences, and what the
+tape keeps alive between the forward and backward passes."""
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 
@@ -115,6 +119,31 @@ def test_diamond_dependency_accumulates_both_paths():
     assert np.allclose(gx, y.data + 2 * x.data)
 
 
+def test_second_replay_of_a_tape_raises():
+    # replaying pops the records, so a second walk would find none and
+    # return all-zero gradients
+    x = parameter(np.array([2.0, 3.0]))
+    with GradTape() as tape:
+        loss = ad.sum_all(ad.mul(x, x))
+    (gx,) = tape.gradients(loss, [x])
+    assert np.array_equal(gx, 2 * x.data)
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.gradients(loss, [x])
+
+
+def test_replay_frees_what_backward_read():
+    x = parameter(np.random.default_rng(0).normal(size=(2, 3, 4, 5)))
+    w = parameter(np.ones((3, 2)))
+    with GradTape() as tape:
+        h = ad.relu(x)
+        loss = ad.sum_all(ad.pointwise_conv(h, w))
+    saved = weakref.ref(h.data)
+    del h
+    assert saved() is not None  # the weight gradient reads h
+    tape.gradients(loss, [x, w])
+    assert saved() is None
+
+
 def test_backward_requires_scalar_loss():
     x = parameter(np.ones(3))
     with GradTape() as tape:
@@ -164,6 +193,8 @@ def _op_cases(rng):
 
     r = parameter(rng.normal(size=(4, 5)))
     cases["relu"] = (lambda: ad.sum_all(ad.relu(r)), [r])
+    factor = rng.normal(size=(4, 5))
+    cases["scale"] = (lambda: ad.sum_all(ad.mul(ad.scale(r, factor), r)), [r])
 
     bias = parameter(rng.normal(size=(c,)))
     cases["bias_add"] = (lambda: ad.sum_all(ad.bias_add(x4, bias)), [x4, bias])
@@ -232,3 +263,39 @@ def test_all_op_outputs_finite():
     rng = np.random.default_rng(7)
     for name, (f, _) in _op_cases(rng).items():
         assert np.isfinite(f().data).all(), name
+
+
+PUBLIC_OPS = frozenset(
+    name for name, fn in vars(ad).items()
+    if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+    and not name.startswith("_") and name not in ("parameter", "grad_check")
+)
+
+
+def _holds_tensor(obj) -> bool:
+    """True if ``obj`` is a Tensor, or a tuple, list or closure reaching one."""
+    if isinstance(obj, Tensor):
+        return True
+    if isinstance(obj, (tuple, list)):
+        return any(_holds_tensor(o) for o in obj)
+    if inspect.isfunction(obj):
+        return any(_holds_tensor(cell.cell_contents) for cell in obj.__closure__ or ())
+    return False
+
+
+def test_tape_records_pin_no_tensor(monkeypatch):
+    # a record that holds a Tensor keeps its whole activation alive until
+    # the step ends, whether or not backward reads it
+    called = set()
+    for name in PUBLIC_OPS:
+        def counted(*args, _op=getattr(ad, name), _name=name, **kwargs):
+            called.add(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(ad, name, counted)
+    for name, (f, _) in _op_cases(np.random.default_rng(0)).items():
+        with GradTape() as tape:
+            f()
+        assert len(tape) > 0, name
+        for record in tape._ops:
+            assert not _holds_tensor(record), f"{name}: record {record} holds a Tensor"
+    assert called == PUBLIC_OPS

@@ -1,10 +1,20 @@
-"""Training loop determinism, divergence handling, and evaluation."""
+"""Training loop determinism, divergence handling, memory held by a
+train step, and evaluation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import ring_adjacency, tiny_model_config
-from fallgcn.model import ThreeStreamModel
+from fallgcn import autodiff as ad
+from fallgcn.autodiff import GradTape, Tensor
+from fallgcn.graph import normalized_adjacency
+from fallgcn.layers import MaskingConfig
+from fallgcn.layouts import builtin_layout
+from fallgcn.model import ModelConfig, ThreeStreamModel
+from fallgcn.optim import SgdState, sgd_step
 from fallgcn.skeleton_io import SkeletonClip
+from fallgcn.synthetic import make_dataset
 from fallgcn.training import (
     Hyperparams,
     TrainingDiverged,
@@ -70,6 +80,46 @@ def test_bit_identical_history_across_runs():
         assert a.val_accuracy == b.val_accuracy
     for a, b in zip(p1, p2):
         assert np.array_equal(a, b)
+
+
+def desk_model() -> ThreeStreamModel:
+    """Desk-size model: stick9 (V=9), T=32, channels 64/128, masking on."""
+    cfg = ModelConfig(dims=2, clip_len=32, joint_count=9, num_classes=2,
+                      masking=MaskingConfig(0.1, 0.1), layout_name="stick9")
+    return ThreeStreamModel(cfg, normalized_adjacency(builtin_layout("stick9")))
+
+
+def test_desk_training_loss_bits_are_pinned():
+    # what the tape keeps must not change any arithmetic: these are the
+    # bits of the engine whose records held every Tensor (numpy's OpenBLAS
+    # with 1 or 2 threads; a BLAS that sums in another order differs)
+    train_clips, val_clips = make_dataset(n_per_class=60, seed=0)
+    history = train(desk_model(), train_clips, val_clips, Hyperparams(epochs=2, seed=0))
+    assert [h.train_loss.hex() for h in history] == [
+        "0x1.754daf91e1528p+0", "0x1.2798d2210e2f3p-1"]
+
+
+def test_desk_train_step_memory_is_what_backward_reads():
+    # batch 32: holding every activation until the step ends retains about
+    # 310 MB after the forward pass and peaks near 346 MB
+    model = desk_model()
+    clips, _ = make_dataset(n_per_class=20, seed=0)
+    data = np.stack([c.data for c in clips[:32]])
+    labels = np.array([c.label for c in clips[:32]])
+    rng = np.random.default_rng(1)
+    params = model.param_tensors()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with GradTape() as tape:
+            loss = ad.cross_entropy(model.forward(Tensor(data), training=True, rng=rng), labels)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        sgd_step(params, tape.gradients(loss, params), SgdState())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert retained < 150e6, f"forward under a tape retains {retained / 1e6:.0f} MB"
+    assert peak < 200e6, f"train step peaks at {peak / 1e6:.0f} MB"
 
 
 def test_divergence_aborts_with_location():
