@@ -13,7 +13,6 @@ from fallgcn import (
     SgcLayer,
     Tensor,
     apply_masking,
-    build_graph,
     builtin_layout,
     normalized_adjacency,
     septcn_flops,
@@ -23,7 +22,7 @@ from fallgcn import autodiff as ad
 rng = np.random.default_rng(0)
 layout = builtin_layout("stick9")
 norm_adj = normalized_adjacency(layout)
-neighbors = build_graph(layout).neighbor_sets
+neighbors = [np.flatnonzero(row) for row in norm_adj > 0]  # B(v), self included
 V = layout.joint_count
 
 # --- spatial graph convolution vs an explicit neighbor loop ------------

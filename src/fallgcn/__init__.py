@@ -6,14 +6,7 @@ engine so every gradient is checkable against finite differences.
 from .autodiff import GradTape, ShapeError, Tensor, grad_check, parameter
 from .benchmark import LatencySample, benchmark_latency, benchmark_pair, welch_t_test
 from .checkpoint import load_arrays, save_arrays
-from .graph import (
-    AdjacencyMatrix,
-    SkeletonGraph,
-    adjacency,
-    build_graph,
-    normalize_adjacency,
-    normalized_adjacency,
-)
+from .graph import normalized_adjacency
 from .layers import (
     DenseTcnLayer,
     GstcnBlock,

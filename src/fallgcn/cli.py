@@ -27,7 +27,7 @@ from .layers import (
     SepTcnLayer,
     SgcLayer,
 )
-from .layouts import resolve_layout
+from .layouts import resolve_layout, ring_layout
 from .metrics import ConfusionMatrix, format_report, metrics
 from .model import (
     ClassifierHead,
@@ -94,28 +94,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # train
 
 
-def _model_config_from_run(cfg: dict, dims: int, clip_len: int, joint_count: int,
-                           num_classes: int, layout_name: str) -> ModelConfig:
-    m = cfg["model"]
-    return ModelConfig(
-        dims=dims,
-        clip_len=clip_len,
-        joint_count=joint_count,
-        num_classes=num_classes,
-        channels=tuple(m["channels"]),
-        head_hidden=m["head_hidden"],
-        dropout=m["dropout"],
-        masking=MaskingConfig(**cfg["masking"]),
-        temporal_pool_residual=m["temporal_pool_residual"],
-        spatial_pool_residual=m["spatial_pool_residual"],
-        tcn=m["tcn"],
-        kernel_t=m["kernel_t"],
-        streams=tuple(m["streams"]),
-        init_seed=m["init_seed"],
-        layout_name=layout_name,
-    )
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
@@ -127,9 +105,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_clips, val_clips = split_dataset(
         clips, cfg["data"]["train_fraction"], cfg["data"]["split_seed"]
     )
-    model_cfg = _model_config_from_run(
-        cfg, meta["dims"], meta["clip_len"], layout.joint_count,
-        len(class_names), layout.name,
+    model_cfg = ModelConfig(
+        **cfg["model"], masking=MaskingConfig(**cfg["masking"]),
+        dims=meta["dims"], clip_len=meta["clip_len"], joint_count=layout.joint_count,
+        num_classes=len(class_names), layout_name=layout.name,
     )
     model = ThreeStreamModel(model_cfg, normalized_adjacency(layout))
     hp = Hyperparams(**cfg["train"])
@@ -204,7 +183,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     other_cfg = dataclasses.replace(
         model.config,
         tcn="dense" if model.config.tcn == "separable" else "separable",
-        masking=model.config.masking,
     )
     other = ThreeStreamModel(other_cfg, model.norm_adj)
     sep_model = model if model.config.tcn == "separable" else other
@@ -241,11 +219,8 @@ def _gradcheck_modules(seed: int) -> list[tuple[str, float]]:
     """Finite-difference check per layer type plus the full tiny model."""
     rng = np.random.default_rng(seed)
     v, t, dims = 5, 8, 2
-    ring = np.zeros((v, v))
-    for i in range(v):
-        ring[i, (i + 1) % v] = ring[(i + 1) % v, i] = 1.0
-    deg = 1.0 / np.sqrt((ring + np.eye(v)).sum(axis=1))
-    norm_adj = (ring + np.eye(v)) * deg[:, None] * deg[None, :]
+    ring = ring_layout(v)
+    norm_adj = normalized_adjacency(ring)
     x = Tensor(rng.normal(0.0, 1.0, (2, dims, t, v)))
     results = []
 
@@ -285,7 +260,7 @@ def _gradcheck_modules(seed: int) -> list[tuple[str, float]]:
     tiny = ModelConfig(
         dims=dims, clip_len=t, joint_count=v, num_classes=2, channels=(8, 16),
         head_hidden=16, dropout=0.0, masking=MaskingConfig(0.0, 0.0),
-        layout_name="ring5",
+        layout_name=ring.name,
     )
     model = ThreeStreamModel(tiny, norm_adj)
     clip = Tensor(rng.normal(0.0, 1.0, (2, dims, t, v)))

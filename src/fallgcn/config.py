@@ -1,12 +1,35 @@
 """Run configuration: one JSON file holding data, model, masking, and
 training settings. Unknown keys are rejected by name so typos never
-silently fall back to defaults.
+silently fall back to defaults. The model, masking and train sections
+take their keys and defaults from ``ModelConfig``, ``MaskingConfig`` and
+``Hyperparams``.
 """
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
+
+from .layers import MaskingConfig
+from .model import ModelConfig
+from .training import Hyperparams
+
+# ModelConfig fields that ``train`` reads from the clip archive, plus the
+# masking settings, which have their own section.
+_NOT_IN_MODEL_SECTION = frozenset(
+    {"dims", "clip_len", "joint_count", "num_classes", "layout_name", "masking"}
+)
+
+
+def _section(defaults, skip: frozenset = frozenset()) -> dict:
+    """A dataclass instance's fields as a JSON-shaped config section."""
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in dataclasses.asdict(defaults).items()
+        if key not in skip
+    }
+
 
 DEFAULTS: dict = {
     "data": {
@@ -18,25 +41,9 @@ DEFAULTS: dict = {
         "train_fraction": 0.9,
         "split_seed": 7,
     },
-    "model": {
-        "channels": [64, 128],
-        "head_hidden": 64,
-        "dropout": 0.1,
-        "kernel_t": 3,
-        "tcn": "separable",
-        "streams": ["joint", "motion", "skip"],
-        "temporal_pool_residual": True,
-        "spatial_pool_residual": False,
-        "init_seed": 0,
-    },
-    "masking": {"p_joint": 0.1, "p_frame": 0.1, "seed": 0},
-    "train": {
-        "learning_rate": 0.01,
-        "momentum": 0.9,
-        "batch_size": 32,
-        "epochs": 100,
-        "seed": 0,
-    },
+    "model": _section(ModelConfig(), skip=_NOT_IN_MODEL_SECTION),
+    "masking": _section(MaskingConfig()),
+    "train": _section(Hyperparams()),
     "out": {
         "checkpoint": "model.fgcn",
         "history": "history.csv",
@@ -83,5 +90,4 @@ def load_run_config(path: str | Path | None) -> dict:
 def apply_seed_override(cfg: dict, seed: int) -> None:
     """--seed controls every source of run randomness at once."""
     cfg["train"]["seed"] = seed
-    cfg["masking"]["seed"] = seed
     cfg["model"]["init_seed"] = seed

@@ -1,84 +1,30 @@
-"""Skeleton graph construction and adjacency normalization.
+"""The aggregation operator of spatial graph convolution.
 
-The graph couples each joint to itself and its anatomical neighbors.
-The aggregation operator used by spatial graph convolution is the
-symmetrically degree-normalized adjacency with self-loops,
+Each joint is coupled to itself and its anatomical neighbors through
+the symmetrically degree-normalized adjacency with self-loops,
 ``D^(-1/2) (A + I) D^(-1/2)``, whose spectral radius stays <= 1.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .layouts import JointLayout
 
 
-@dataclass(frozen=True)
-class SkeletonGraph:
-    """Neighbor sets B(v) = {v} plus the joints sharing an edge with v."""
-
-    layout: JointLayout
-    neighbor_sets: tuple[frozenset[int], ...]
-
-
-def build_graph(layout: JointLayout) -> SkeletonGraph:
-    sets: list[set[int]] = [{v} for v in range(layout.joint_count)]
-    for a, b in layout.edges:
-        sets[a].add(b)
-        sets[b].add(a)
-    return SkeletonGraph(layout=layout, neighbor_sets=tuple(frozenset(s) for s in sets))
-
-
-@dataclass(frozen=True)
-class AdjacencyMatrix:
-    """Binary joint adjacency and, once computed, its normalized form."""
-
-    raw: np.ndarray
-    normalized: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.raw, dtype=np.float64)
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {raw.shape}")
-        if not np.array_equal(raw, raw.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(raw) != 0):
-            raise ValueError("adjacency diagonal must be zero (self-loops are implicit)")
-        if not np.all((raw == 0) | (raw == 1)):
-            raise ValueError("raw adjacency must be binary")
-        raw.flags.writeable = False
-        object.__setattr__(self, "raw", raw)
-        if self.normalized is not None:
-            norm = np.asarray(self.normalized, dtype=np.float64)
-            norm.flags.writeable = False
-            object.__setattr__(self, "normalized", norm)
-
-
-def adjacency(graph: SkeletonGraph) -> AdjacencyMatrix:
-    """Binary matrix: raw[i][j] = 1 iff joints i and j share an edge."""
-    v = graph.layout.joint_count
-    raw = np.zeros((v, v), dtype=np.float64)
-    for a, b in graph.layout.edges:
-        raw[a, b] = 1.0
-        raw[b, a] = 1.0
-    return AdjacencyMatrix(raw=raw)
-
-
-def normalize_adjacency(adj: AdjacencyMatrix) -> AdjacencyMatrix:
-    """Fill the normalized form D^(-1/2) (raw + I) D^(-1/2).
-
-    D is the degree matrix of raw + I; the self-loop guarantees every
-    degree >= 1, so the result is finite, symmetric, and in [0, 1].
-    """
-    with_loops = adj.raw + np.eye(adj.raw.shape[0])
-    inv_sqrt_deg = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    normalized = with_loops * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
-    return AdjacencyMatrix(raw=adj.raw, normalized=normalized)
-
-
 def normalized_adjacency(layout: JointLayout) -> np.ndarray:
-    """One-shot helper: layout -> normalized adjacency array."""
-    norm = normalize_adjacency(adjacency(build_graph(layout))).normalized
-    assert norm is not None
+    """Read-only ``D^(-1/2) (A + I) D^(-1/2)`` of the layout's bones.
+
+    A[i][j] = 1 iff joints i and j share an edge; D is the degree matrix
+    of A + I. The self-loop guarantees every degree >= 1, so the result
+    is finite, symmetric, and in [0, 1]. Its nonzero entries in row v
+    are the neighbor set B(v) = {v} plus the joints sharing an edge
+    with v. The layout already rejects self, duplicate, out-of-range and
+    disconnecting edges, so A is a valid binary adjacency.
+    """
+    with_loops = np.eye(layout.joint_count)
+    for a, b in layout.edges:
+        with_loops[a, b] = with_loops[b, a] = 1.0
+    inv_sqrt_deg = 1.0 / np.sqrt(with_loops.sum(axis=1))
+    norm = with_loops * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+    norm.flags.writeable = False
     return norm

@@ -128,8 +128,6 @@ class MaskingConfig:
 
     p_joint: float = 0.1
     p_frame: float = 0.1
-    training: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name, p in (("p_joint", self.p_joint), ("p_frame", self.p_frame)):
@@ -141,14 +139,14 @@ def apply_masking(x: Tensor, cfg: MaskingConfig,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Zero whole joint columns (prob p_joint) and frame slices (p_frame).
 
-    Identity in evaluation mode or when both probabilities are zero.
-    Masks are drawn independently per sample and are deterministic for
-    a given rng (falls back to one seeded from cfg.seed).
+    Identity when both probabilities are zero; otherwise masks are drawn
+    independently per sample from ``rng``, which must be given so that
+    runs stay deterministic. Callers skip masking in evaluation mode.
     """
-    if not cfg.training or (cfg.p_joint == 0.0 and cfg.p_frame == 0.0):
+    if cfg.p_joint == 0.0 and cfg.p_frame == 0.0:
         return x
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        raise ValueError("apply_masking: masking needs an explicit rng for determinism")
     n, _, t, v = x.shape
     keep = np.ones((n, 1, t, v))
     if cfg.p_joint > 0.0:
@@ -192,10 +190,10 @@ class GstcnBlock:
         self.spatial_pool_residual = spatial_pool_residual
 
     def forward(self, x: Tensor, masking: MaskingConfig | None = None,
-                training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
+        """``masking`` is given only in training; None means evaluation."""
         h = x
-        if training and masking is not None:
+        if masking is not None:
             h = apply_masking(h, masking, rng)
         h = self.tcn.forward(self.sgc.forward(h))
         res = x if self.proj is None else ad.pointwise_conv(x, self.proj)

@@ -142,3 +142,12 @@ def resolve_layout(name_or_path: str) -> JointLayout:
     if p.suffix == ".layout" or p.exists():
         return load_layout(p)
     return builtin_layout(name_or_path)
+
+
+def ring_layout(joint_count: int) -> JointLayout:
+    """``ring{V}``: joints 0..V-1 joined in a cycle, every joint of degree
+    two (V >= 3). The layout of the tiny gradient-check models."""
+    return JointLayout(
+        name=f"ring{joint_count}", joint_count=joint_count, root_joint=0,
+        edges=tuple((i, (i + 1) % joint_count) for i in range(joint_count)),
+    )

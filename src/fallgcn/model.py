@@ -38,8 +38,12 @@ class ModelConfig:
     layout_name: str = "coco18"
 
     def __post_init__(self) -> None:
-        self.channels = tuple(self.channels)
-        self.streams = tuple(self.streams)
+        for name in ("channels", "streams"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, tuple(value))
+            except TypeError:
+                raise ValueError(f"ModelConfig: {name} must be a list, got {value!r}") from None
         if len(self.channels) != 2:
             raise ValueError("ModelConfig: channel plan must list exactly 2 stages")
         if not self.streams or any(s not in STREAM_NAMES for s in self.streams):
@@ -50,8 +54,6 @@ class ModelConfig:
             raise ValueError(f"ModelConfig: dims must be 2 or 3, got {self.dims}")
         if self.tcn not in ("separable", "dense"):
             raise ValueError(f"ModelConfig: unknown tcn kind {self.tcn!r}")
-        if isinstance(self.masking, dict):
-            self.masking = MaskingConfig(**self.masking)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -61,11 +63,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """Inverse of :meth:`to_dict`; keys this version does not know are
+        rejected by their dotted name."""
+        d = dict(d)
+        masking = d.pop("masking", {})
+        if not isinstance(masking, dict):
+            raise ValueError(f"ModelConfig: masking must be an object, got {masking!r}")
+        unknown = [k for k in d if k not in cls.__dataclass_fields__] + [
+            f"masking.{k}" for k in masking if k not in MaskingConfig.__dataclass_fields__
+        ]
         if unknown:
             raise ValueError(f"ModelConfig: unknown keys {sorted(unknown)}")
-        return cls(**d)
+        return cls(**d, masking=MaskingConfig(**masking))
 
 
 def compute_motion(clip):
@@ -178,12 +187,12 @@ class ThreeStreamModel:
             if name == "joint":
                 h = x
                 for block in self.joint_blocks:
-                    h = block.forward(h, masking, training, rng)
+                    h = block.forward(h, masking, rng)
                 f = ad.global_avg_pool(h)
             elif name == "motion":
                 h = compute_motion(x)
                 for block in self.motion_blocks:
-                    h = block.forward(h, masking, training, rng)
+                    h = block.forward(h, masking, rng)
                 f = ad.global_avg_pool(h)
             else:
                 f = ad.global_avg_pool(ad.pointwise_conv(x, self.skip_proj))
@@ -195,14 +204,18 @@ class ThreeStreamModel:
     def forward(self, clip, training: bool = False,
                 rng: np.random.Generator | None = None,
                 zero_stream: str | None = None) -> Tensor:
-        """Class probabilities for one clip [C, T, V] or a batch [N, C, T, V]."""
+        """Class probabilities for one clip [C, T, V] or a batch [N, C, T, V].
+
+        ``training=True`` turns on masking and dropout, which draw from
+        ``rng``; it must be given so that training stays deterministic.
+        """
+        if training and rng is None:
+            raise ValueError("model: a training forward needs an explicit rng for determinism")
         data = clip.data if isinstance(clip, Tensor) else np.asarray(clip, dtype=np.float64)
         single = data.ndim == 3
         if single:
             data = data[None]
         self._check_input(data)
-        if training and rng is None:
-            rng = np.random.default_rng(self.config.masking.seed)
         x = clip if isinstance(clip, Tensor) and not single else Tensor(data)
         feats = self.stream_features(x, training, rng, zero_stream)
         probs = self.head.forward(ad.concat_channels(feats), training, rng)
@@ -274,7 +287,10 @@ def load_model(path: str | Path) -> ThreeStreamModel:
     arrays, meta = load_arrays(path)
     if "model_config" not in meta:
         raise CheckpointError(f"{path}: missing model_config metadata")
-    config = ModelConfig.from_dict(meta["model_config"])
+    try:
+        config = ModelConfig.from_dict(meta["model_config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model_config: {exc}") from exc
     if "adjacency" not in arrays:
         raise CheckpointError(f"{path}: missing adjacency record")
     model = ThreeStreamModel(config, arrays.pop("adjacency"))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fallgcn.graph import normalized_adjacency
 from fallgcn.layers import MaskingConfig
-from fallgcn.layouts import JointLayout
+from fallgcn.layouts import JointLayout, ring_layout
 from fallgcn.model import ModelConfig, ThreeStreamModel
 
 
@@ -28,11 +29,7 @@ def random_layout(rng: np.random.Generator, max_joints: int = 6) -> JointLayout:
 
 
 def ring_adjacency(v: int) -> np.ndarray:
-    ring = np.zeros((v, v))
-    for i in range(v):
-        ring[i, (i + 1) % v] = ring[(i + 1) % v, i] = 1.0
-    deg = 1.0 / np.sqrt((ring + np.eye(v)).sum(axis=1))
-    return (ring + np.eye(v)) * deg[:, None] * deg[None, :]
+    return normalized_adjacency(ring_layout(v))
 
 
 def tiny_model_config(**overrides) -> ModelConfig:

@@ -1,17 +1,20 @@
 """End-to-end command-line harness: ingest -> train -> eval -> bench ->
 report, plus gradcheck, determinism, and error exits."""
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fallgcn.cli import main
 from fallgcn.config import ConfigError, load_run_config
+from fallgcn.layers import MaskingConfig
 from fallgcn.metrics import format_report, metrics
-from fallgcn.model import load_model
+from fallgcn.model import ModelConfig, load_model
 from fallgcn.skeleton_io import (
     ManifestEntry,
     load_clip_archive,
@@ -19,7 +22,7 @@ from fallgcn.skeleton_io import (
     write_sequences,
 )
 from fallgcn.synthetic import CLASS_NAMES, generate_sequences
-from fallgcn.training import evaluate, read_history
+from fallgcn.training import Hyperparams, evaluate, read_history
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +223,30 @@ def test_unknown_config_key_named(tmp_path, capsys):
     code = main(["gradcheck", "--config", str(bad)])
     assert code != 0
     assert "learnig_rate" in capsys.readouterr().err
+
+
+def test_defaults_come_from_the_dataclasses():
+    cfg = load_run_config(None)
+    from_archive = {"dims", "clip_len", "joint_count", "num_classes", "layout_name"}
+    model_fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    assert set(cfg["model"]) == model_fields - from_archive - {"masking"}
+    assert ModelConfig(**cfg["model"]) == ModelConfig()
+    assert cfg["masking"] == dataclasses.asdict(MaskingConfig())
+    assert cfg["train"] == dataclasses.asdict(Hyperparams())
+
+
+def test_readme_run_configuration_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Run configuration", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == load_run_config(None)
+
+
+def test_removed_masking_seed_key_is_rejected(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"masking": {"p_joint": 0.1, "seed": 3}}))
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_run_config(old)
 
 
 def test_console_entry_point_runs():

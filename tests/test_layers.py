@@ -9,7 +9,7 @@ import pytest
 from conftest import random_layout, ring_adjacency
 from fallgcn import autodiff as ad
 from fallgcn.autodiff import GradTape, Tensor, grad_check
-from fallgcn.graph import build_graph, normalized_adjacency
+from fallgcn.graph import normalized_adjacency
 from fallgcn.layers import (
     DenseTcnLayer,
     GstcnBlock,
@@ -62,7 +62,7 @@ def test_sgc_matches_brute_force_on_random_graphs():
         rng = np.random.default_rng(seed)
         layout = random_layout(rng, max_joints=6)
         norm_adj = normalized_adjacency(layout)
-        neighbor_sets = build_graph(layout).neighbor_sets
+        neighbor_sets = [np.flatnonzero(row) for row in norm_adj > 0]
         c_in = int(rng.integers(1, 5))
         c_out = int(rng.integers(1, 5))
         t_len = int(rng.integers(1, 6))
@@ -159,21 +159,31 @@ def test_septcn_cheaper_iff_cout_over_threshold():
 def test_masking_zero_probability_and_eval_mode_are_identity():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(2, 3, 4, 5)))
-    assert apply_masking(x, MaskingConfig(0.0, 0.0, training=True)) is x
-    assert apply_masking(x, MaskingConfig(0.7, 0.7, training=False)) is x
+    assert apply_masking(x, MaskingConfig(0.0, 0.0)) is x
+    # evaluation mode: the block is given no masking config and draws nothing
+    block = GstcnBlock(3, 3, ring_adjacency(5), rng)
+    state = rng.bit_generator.state
+    assert np.array_equal(block.forward(x, None, rng).data,
+                          block.forward(x, MaskingConfig(0.0, 0.0)).data)
+    assert rng.bit_generator.state == state
+
+
+def test_masking_without_rng_raises():
+    x = Tensor(np.ones((2, 3, 4, 5)))
+    with pytest.raises(ValueError, match="rng"):
+        apply_masking(x, MaskingConfig(0.3, 0.3))
 
 
 def test_masking_probability_one_zeroes_everything():
     x = Tensor(np.ones((2, 3, 4, 5)))
-    out = apply_masking(x, MaskingConfig(1.0, 0.0, training=True))
+    out = apply_masking(x, MaskingConfig(1.0, 0.0), np.random.default_rng(0))
     assert np.array_equal(out.data, np.zeros_like(x.data))
 
 
 def test_masking_zeroes_whole_joints_and_frames():
     rng = np.random.default_rng(6)
     x = Tensor(np.ones((4, 3, 10, 8)))
-    out = apply_masking(x, MaskingConfig(0.4, 0.4, training=True),
-                        np.random.default_rng(0)).data
+    out = apply_masking(x, MaskingConfig(0.4, 0.4), np.random.default_rng(0)).data
     for n in range(4):
         col = out[n, 0]  # [T, V]
         # each joint column is all-zero or matches the frame pattern
@@ -185,18 +195,20 @@ def test_masking_zeroes_whole_joints_and_frames():
 
 def test_masking_deterministic_given_seed():
     x = Tensor(np.ones((2, 3, 6, 5)))
-    cfg = MaskingConfig(0.3, 0.3, training=True, seed=42)
-    a = apply_masking(x, cfg).data
-    b = apply_masking(x, cfg).data
+    cfg = MaskingConfig(0.3, 0.3)
+    a = apply_masking(x, cfg, np.random.default_rng(42)).data
+    b = apply_masking(x, cfg, np.random.default_rng(42)).data
+    c = apply_masking(x, cfg, np.random.default_rng(43)).data
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_masked_positions_get_zero_gradient():
     rng = np.random.default_rng(7)
     x = ad.parameter(rng.normal(size=(2, 3, 6, 5)))
-    cfg = MaskingConfig(0.4, 0.4, training=True, seed=1)
+    cfg = MaskingConfig(0.4, 0.4)
     with GradTape() as tape:
-        y = apply_masking(x, cfg)
+        y = apply_masking(x, cfg, np.random.default_rng(1))
         loss = ad.sum_all(y)
     (gx,) = tape.gradients(loss, [x])
     masked = y.data == 0.0

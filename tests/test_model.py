@@ -118,6 +118,12 @@ def test_zeroing_any_stream_changes_the_distribution():
 # --- classifier head -------------------------------------------------------
 
 
+def test_training_forward_without_rng_raises(tiny_model):
+    clip = np.random.default_rng(4).normal(size=(2, 2, 8, 5))
+    with pytest.raises(ValueError, match="rng"):
+        tiny_model.forward(clip, training=True)
+
+
 def test_head_zero_final_layer_gives_uniform():
     rng = np.random.default_rng(5)
     head = ClassifierHead(6, 8, 4, dropout_rate=0.0, rng=rng)
@@ -248,13 +254,10 @@ def test_translation_invariance_through_normalization(tiny_model):
     # constant offsets on raw coordinates vanish in normalize_clip, so
     # the model output is unchanged; invariance lives in the pipeline,
     # not the network
-    from fallgcn.layouts import JointLayout
+    from fallgcn.layouts import ring_layout
     from fallgcn.skeleton_io import SkeletonClip, normalize_clip
 
-    layout = JointLayout(
-        name="ring5", joint_count=5,
-        edges=((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), root_joint=0,
-    )
+    layout = ring_layout(5)
     rng = np.random.default_rng(10)
     raw = rng.normal(size=(2, 8, 5))
     shifted = raw + np.array([3.7, -1.2])[:, None, None]
@@ -304,3 +307,21 @@ def test_checkpoint_rejects_config_mismatch(tmp_path, tiny_model):
     save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match="head.fc2.bias"):
         load_model(path)
+
+
+@pytest.mark.parametrize("edit, bad_key", [
+    (lambda cfg: cfg["masking"].update(training=True), "masking.training"),
+    (lambda cfg: cfg.update(channels=5), "channels"),
+    (lambda cfg: cfg.update(widths=[8, 16]), "widths"),
+])
+def test_checkpoint_rejects_malformed_model_config(tmp_path, tiny_model, edit, bad_key):
+    from fallgcn.checkpoint import load_arrays, save_arrays
+
+    path = tmp_path / "model.fgcn"
+    save_model(tiny_model, path)
+    arrays, meta = load_arrays(path)
+    edit(meta["model_config"])
+    save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=bad_key) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
