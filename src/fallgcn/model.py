@@ -4,6 +4,7 @@ pooling and concatenation, followed by the classification head.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -15,6 +16,10 @@ from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .layers import GstcnBlock, Linear, MaskingConfig, septcn_flops
 
 STREAM_NAMES = ("joint", "motion", "skip")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -46,14 +51,30 @@ class ModelConfig:
                 raise ValueError(f"ModelConfig: {name} must be a list, got {value!r}") from None
         if len(self.channels) != 2:
             raise ValueError("ModelConfig: channel plan must list exactly 2 stages")
-        if not self.streams or any(s not in STREAM_NAMES for s in self.streams):
+        if (not self.streams or any(s not in STREAM_NAMES for s in self.streams)
+                or len(set(self.streams)) != len(self.streams)):
             raise ValueError(
                 f"ModelConfig: streams must be a non-empty subset of {STREAM_NAMES}"
             )
-        if self.dims not in (2, 3):
+        if not _is_int(self.dims) or self.dims not in (2, 3):
             raise ValueError(f"ModelConfig: dims must be 2 or 3, got {self.dims}")
         if self.tcn not in ("separable", "dense"):
             raise ValueError(f"ModelConfig: unknown tcn kind {self.tcn!r}")
+        sizes = [("clip_len", self.clip_len, 2), ("joint_count", self.joint_count, 1),
+                 ("num_classes", self.num_classes, 1), ("head_hidden", self.head_hidden, 1),
+                 ("kernel_t", self.kernel_t, 1), ("init_seed", self.init_seed, 0)]
+        sizes += [(f"channels[{i}]", c, 1) for i, c in enumerate(self.channels)]
+        for name, value, least in sizes:
+            if not _is_int(value) or value < least:
+                raise ValueError(f"ModelConfig: {name} must be an int >= {least}, got {value!r}")
+        if self.kernel_t % 2 == 0:
+            raise ValueError(f"ModelConfig: kernel_t must be odd, got {self.kernel_t}")
+        if not isinstance(self.dropout, numbers.Real) or not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"ModelConfig: dropout must be in [0, 1), got {self.dropout!r}")
+        for name in ("temporal_pool_residual", "spatial_pool_residual"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"ModelConfig: {name} must be true or false, "
+                                 f"got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -135,7 +156,7 @@ class ThreeStreamModel:
         norm_adj = np.asarray(norm_adj, dtype=np.float64)
         if norm_adj.shape != (config.joint_count, config.joint_count):
             raise ValueError(
-                f"model: adjacency {norm_adj.shape} does not match joint count "
+                f"model: adjacency {norm_adj.shape} does not match joint_count "
                 f"{config.joint_count}"
             )
         self.config = config
@@ -293,7 +314,10 @@ def load_model(path: str | Path) -> ThreeStreamModel:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from exc
     if "adjacency" not in arrays:
         raise CheckpointError(f"{path}: missing adjacency record")
-    model = ThreeStreamModel(config, arrays.pop("adjacency"))
+    try:
+        model = ThreeStreamModel(config, arrays.pop("adjacency"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: cannot build the model from model_config: {exc}") from exc
     expected = dict(model.parameters())
     missing = set(expected) - set(arrays)
     extra = set(arrays) - set(expected)

@@ -16,11 +16,11 @@ from .model import ThreeStreamModel
 from .optim import SgdState, sgd_step
 from .skeleton_io import SkeletonClip
 
-# Clips per evaluation forward. Larger batches grow the temporaries past
-# what the heap keeps mapped, and the page faults of bringing them back
-# cost more than the batching saves: 128 desk clips on a 2-core Xeon with
-# 1 BLAS thread ran at 160-175 clips/s in one batch and at 255-310
-# clips/s in batches of 16.
+# Clips per evaluation forward. With freed heap kept mapped (see
+# ``autodiff``) no batch size pays page faults, yet smaller batches still
+# run faster: 128 desk clips on a 2-core Xeon with 1 BLAS thread ran at
+# 299-335 clips/s in batches of 8, 271-301 in 16, 262-277 in 32 and
+# 184-206 in one batch of 128. The recorded benchmark figures use 16.
 EVAL_BATCH = 16
 
 

@@ -83,6 +83,36 @@ def test_cross_entropy_reference_values():
     assert abs(ad.cross_entropy(uniform, np.array([2])).item() - np.log(4)) < 1e-9
 
 
+@pytest.mark.parametrize("labels, first_bad", [
+    (np.array([0, -1]), "label -1 at index 1"),  # would score the last class
+    (np.array([2, 1]), "label 2 at index 0"),
+    (np.array([0.0, 1.0]), "label 0.0 at index 0"),
+])
+def test_cross_entropy_rejects_labels_outside_the_classes(labels, first_bad):
+    probs = Tensor(np.array([[0.2, 0.8], [0.6, 0.4]]))
+    with pytest.raises(ShapeError, match=rf"cross_entropy: {first_bad} .*\[0, 2\)"):
+        ad.cross_entropy(probs, labels)
+
+
+def test_cross_entropy_accepts_any_integer_label_dtype():
+    probs = Tensor(np.array([[0.2, 0.8], [0.6, 0.4]]))
+    expected = -(np.log(0.8) + np.log(0.6)) / 2
+    for dtype in (np.int64, np.int32, np.uint8):
+        assert ad.cross_entropy(probs, np.array([1, 0], dtype=dtype)).item() == expected
+
+
+def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch):
+    # macOS has no mallopt; Windows cannot open the running program
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())
+    ad._keep_freed_heap_mapped()
+
+    def cannot_open(name):
+        raise TypeError("no program handle")
+
+    monkeypatch.setattr(ad.ctypes, "CDLL", cannot_open)
+    ad._keep_freed_heap_mapped()
+
+
 def test_linear_loss_gradient_is_input():
     # loss = sum(x @ W) with x fixed: dW[k, m] = sum_n x[n, k]
     rng = np.random.default_rng(4)

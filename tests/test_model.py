@@ -313,6 +313,16 @@ def test_checkpoint_rejects_config_mismatch(tmp_path, tiny_model):
     (lambda cfg: cfg["masking"].update(training=True), "masking.training"),
     (lambda cfg: cfg.update(channels=5), "channels"),
     (lambda cfg: cfg.update(widths=[8, 16]), "widths"),
+    (lambda cfg: cfg.update(head_hidden="16"), "head_hidden"),
+    (lambda cfg: cfg.update(kernel_t=0), "kernel_t"),
+    (lambda cfg: cfg.update(kernel_t=2), "kernel_t"),
+    (lambda cfg: cfg.update(channels=[0, 8]), r"channels\[0\]"),
+    (lambda cfg: cfg.update(dropout=2.0), "dropout"),
+    (lambda cfg: cfg.update(clip_len=1), "clip_len"),
+    (lambda cfg: cfg.update(init_seed=-1), "init_seed"),
+    (lambda cfg: cfg.update(temporal_pool_residual="no"), "temporal_pool_residual"),
+    (lambda cfg: cfg.update(streams=["joint", "joint"]), "streams"),
+    (lambda cfg: cfg.update(joint_count=6), "joint_count"),  # vs the adjacency record
 ])
 def test_checkpoint_rejects_malformed_model_config(tmp_path, tiny_model, edit, bad_key):
     from fallgcn.checkpoint import load_arrays, save_arrays

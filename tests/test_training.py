@@ -1,5 +1,6 @@
 """Training loop determinism, divergence handling, memory held by a
 train step, and evaluation."""
+import platform
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,35 @@ def test_desk_train_step_memory_is_what_backward_reads():
         tracemalloc.stop()
     assert retained < 150e6, f"forward under a tape retains {retained / 1e6:.0f} MB"
     assert peak < 200e6, f"train step peaks at {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_desk_train_step_does_not_refault_the_heap():
+    # when glibc trims freed heap back to the OS, each desk step faults
+    # about 15k pages (~60 MB) back in: about 45k for this test's work
+    import resource
+
+    model = desk_model()
+    clips, val_clips = make_dataset(n_per_class=20, seed=0)
+    data = np.stack([c.data for c in clips[:32]])
+    labels = np.array([c.label for c in clips[:32]])
+    rng = np.random.default_rng(1)
+    params = model.param_tensors()
+    state = SgdState()
+
+    def step():
+        with GradTape() as tape:
+            loss = ad.cross_entropy(model.forward(Tensor(data), training=True, rng=rng), labels)
+        sgd_step(params, tape.gradients(loss, params), state)
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        step()
+    evaluate(model, val_clips)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"3 desk train steps and an evaluation took {faults} minor faults"
 
 
 def test_divergence_aborts_with_location():
