@@ -50,10 +50,18 @@ print()
 print(format_report(metrics(cm), "text"))
 
 # The motion stream sees frame differences of the same clip; zeroing any
-# one stream shifts the prediction, i.e. fusion is doing work.
+# one stream shifts the prediction, i.e. fusion is doing work. The pooled
+# stream features are concatenated before head.fc1, so zeroing a stream's
+# rows of fc1.weight ablates exactly that stream.
 clip = test_clips[0].data
 full = model.forward(clip).data
-for name in config.streams:
-    ablated = model.forward(clip, zero_stream=name).data
+weight = model.head.fc1.weight.data
+width = config.channels[1]
+for i, name in enumerate(config.streams):
+    rows = slice(i * width, (i + 1) * width)
+    kept = weight[rows].copy()
+    weight[rows] = 0.0
+    ablated = model.forward(clip).data
+    weight[rows] = kept
     kl = float(np.sum(full * (np.log(full) - np.log(ablated))))
     print(f"zeroing {name:>6} stream: KL(full || ablated) = {kl:.3e}")

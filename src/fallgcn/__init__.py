@@ -4,7 +4,7 @@ engine so every gradient is checkable against finite differences.
 """
 
 from .autodiff import GradTape, ShapeError, Tensor, grad_check, parameter
-from .benchmark import LatencySample, benchmark_latency, benchmark_pair, welch_t_test
+from .benchmark import LatencySample, benchmark_pair, welch_t_test
 from .checkpoint import load_arrays, save_arrays
 from .graph import normalized_adjacency
 from .layers import (

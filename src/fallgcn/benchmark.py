@@ -34,24 +34,6 @@ def _random_clip(model: ThreeStreamModel, rng: np.random.Generator) -> np.ndarra
     return rng.normal(0.0, 1.0, (cfg.dims, cfg.clip_len, cfg.joint_count))
 
 
-def benchmark_latency(model: ThreeStreamModel, n_warmup: int = 10,
-                      n_samples: int = 30, seed: int = 0) -> LatencySample:
-    """Time ``n_samples`` single-clip forward passes (evaluation mode)
-    after ``n_warmup`` discarded runs. Runs strictly serially."""
-    if n_samples < 30:
-        raise ValueError(f"benchmark_latency: need n_samples >= 30, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    clip = _random_clip(model, rng)
-    for _ in range(n_warmup):
-        model.forward(clip, training=False)
-    times = np.empty(n_samples)
-    for i in range(n_samples):
-        t0 = time.perf_counter()
-        model.forward(clip, training=False)
-        times[i] = (time.perf_counter() - t0) * 1e3
-    return LatencySample.from_times(times)
-
-
 def benchmark_pair(model_a: ThreeStreamModel, model_b: ThreeStreamModel,
                    n_warmup: int = 10, n_samples: int = 30,
                    seed: int = 0) -> tuple[LatencySample, LatencySample]:

@@ -98,6 +98,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
         apply_seed_override(cfg, args.seed)
+    hp = Hyperparams(**cfg["train"])
     archive_path = args.archive or cfg["data"]["archive"]
     if archive_path is None:
         return _fail("train: no clip archive given (flag --archive or config data.archive)")
@@ -111,7 +112,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         num_classes=len(class_names), layout_name=layout.name,
     )
     model = ThreeStreamModel(model_cfg, normalized_adjacency(layout))
-    hp = Hyperparams(**cfg["train"])
     history = train(model, train_clips, val_clips, hp)
     ckpt_path = args.out or cfg["out"]["checkpoint"]
     save_model(model, ckpt_path)

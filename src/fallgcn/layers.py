@@ -67,7 +67,6 @@ class SepTcnLayer:
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, kernel_t: int = 3):
-        self.kernel_t = kernel_t
         self.depthwise = parameter(
             rng.normal(0.0, np.sqrt(1.0 / kernel_t), (in_channels, kernel_t))
         )
@@ -93,7 +92,6 @@ class DenseTcnLayer:
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, kernel_t: int = 3):
-        self.kernel_t = kernel_t
         self.kernel = parameter(
             rng.normal(0.0, np.sqrt(2.0 / (in_channels * kernel_t)),
                        (out_channels, in_channels, kernel_t))
@@ -163,15 +161,12 @@ class GstcnBlock:
 
     proj is a pointwise projection when the channel width changes and
     the identity otherwise. tpool (max over frames, broadcast back)
-    emphasizes the most important frames; the analogous joint-axis
-    summand can be switched on for ablation. Masking touches only the
+    emphasizes the most important frames. Masking touches only the
     convolutional path, never the residual.
     """
 
     def __init__(self, in_channels: int, out_channels: int, norm_adj: np.ndarray,
-                 rng: np.random.Generator, tcn: str = "separable", kernel_t: int = 3,
-                 temporal_pool_residual: bool = True,
-                 spatial_pool_residual: bool = False):
+                 rng: np.random.Generator, tcn: str = "separable", kernel_t: int = 3):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.sgc = SgcLayer(in_channels, out_channels, norm_adj, rng)
@@ -186,8 +181,6 @@ class GstcnBlock:
             self.proj = parameter(
                 rng.normal(0.0, np.sqrt(2.0 / in_channels), (in_channels, out_channels))
             )
-        self.temporal_pool_residual = temporal_pool_residual
-        self.spatial_pool_residual = spatial_pool_residual
 
     def forward(self, x: Tensor, masking: MaskingConfig | None = None,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -197,12 +190,7 @@ class GstcnBlock:
             h = apply_masking(h, masking, rng)
         h = self.tcn.forward(self.sgc.forward(h))
         res = x if self.proj is None else ad.pointwise_conv(x, self.proj)
-        y = ad.add(h, res)
-        if self.temporal_pool_residual:
-            y = ad.add(y, ad.max_pool_frames(res))
-        if self.spatial_pool_residual:
-            y = ad.add(y, ad.max_pool_joints(res))
-        return ad.relu(y)
+        return ad.relu(ad.add(ad.add(h, res), ad.max_pool_frames(res)))
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = self.sgc.parameters(f"{prefix}.sgc") + self.tcn.parameters(f"{prefix}.tcn")

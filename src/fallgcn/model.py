@@ -34,8 +34,6 @@ class ModelConfig:
     head_hidden: int = 64
     dropout: float = 0.1
     masking: MaskingConfig = field(default_factory=MaskingConfig)
-    temporal_pool_residual: bool = True
-    spatial_pool_residual: bool = False
     tcn: str = "separable"
     kernel_t: int = 3
     streams: tuple[str, ...] = STREAM_NAMES
@@ -71,10 +69,6 @@ class ModelConfig:
             raise ValueError(f"ModelConfig: kernel_t must be odd, got {self.kernel_t}")
         if not isinstance(self.dropout, numbers.Real) or not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"ModelConfig: dropout must be in [0, 1), got {self.dropout!r}")
-        for name in ("temporal_pool_residual", "spatial_pool_residual"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"ModelConfig: {name} must be true or false, "
-                                 f"got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -165,11 +159,8 @@ class ThreeStreamModel:
         c1, c2 = config.channels
 
         def make_block(c_in, c_out):
-            return GstcnBlock(
-                c_in, c_out, norm_adj, rng, tcn=config.tcn, kernel_t=config.kernel_t,
-                temporal_pool_residual=config.temporal_pool_residual,
-                spatial_pool_residual=config.spatial_pool_residual,
-            )
+            return GstcnBlock(c_in, c_out, norm_adj, rng, tcn=config.tcn,
+                              kernel_t=config.kernel_t)
 
         self.joint_blocks = (
             [make_block(config.dims, c1), make_block(c1, c2)]
@@ -199,8 +190,7 @@ class ThreeStreamModel:
             )
 
     def stream_features(self, x: Tensor, training: bool = False,
-                        rng: np.random.Generator | None = None,
-                        zero_stream: str | None = None) -> list[Tensor]:
+                        rng: np.random.Generator | None = None) -> list[Tensor]:
         """Pooled per-stream feature vectors, in config stream order."""
         masking = self.config.masking if training else None
         feats = []
@@ -217,14 +207,11 @@ class ThreeStreamModel:
                 f = ad.global_avg_pool(h)
             else:
                 f = ad.global_avg_pool(ad.pointwise_conv(x, self.skip_proj))
-            if zero_stream == name:
-                f = ad.scale(f, 0.0)
             feats.append(f)
         return feats
 
     def forward(self, clip, training: bool = False,
-                rng: np.random.Generator | None = None,
-                zero_stream: str | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         """Class probabilities for one clip [C, T, V] or a batch [N, C, T, V].
 
         ``training=True`` turns on masking and dropout, which draw from
@@ -238,7 +225,7 @@ class ThreeStreamModel:
             data = data[None]
         self._check_input(data)
         x = clip if isinstance(clip, Tensor) and not single else Tensor(data)
-        feats = self.stream_features(x, training, rng, zero_stream)
+        feats = self.stream_features(x, training, rng)
         probs = self.head.forward(ad.concat_channels(feats), training, rng)
         if single:
             return Tensor(probs.data[0])

@@ -333,21 +333,67 @@ def save_clip_archive(path: str | Path, clips: list[SkeletonClip],
 
 
 def load_clip_archive(path: str | Path) -> tuple[list[SkeletonClip], list[str], JointLayout, dict]:
+    """Clips, class names, layout and metadata written by
+    :func:`save_clip_archive`; every field is checked against the others."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "clip_archive" or "clips" not in arrays or "labels" not in arrays:
         raise ClipFormatError(f"{path}: not a clip archive")
-    lay = meta["layout"]
-    layout = JointLayout(
-        name=lay["name"],
-        joint_count=lay["joint_count"],
-        edges=tuple(tuple(e) for e in lay["edges"]),
-        root_joint=lay["root_joint"],
-    )
-    clips = [
-        SkeletonClip(data=clip, label=int(label))
-        for clip, label in zip(arrays["clips"], arrays["labels"])
-    ]
-    return clips, list(meta["class_names"]), layout, meta
+
+    def meta_field(key: str, ok, want: str):
+        if key not in meta:
+            raise ClipFormatError(f"{path}: metadata field '{key}' is missing")
+        if not ok(meta[key]):
+            raise ClipFormatError(
+                f"{path}: metadata field '{key}' must be {want}, got {meta[key]!r}"
+            )
+        return meta[key]
+
+    # metadata comes from JSON, so an integer field is exactly an int
+    class_names = meta_field(
+        "class_names",
+        lambda v: isinstance(v, list) and v and all(isinstance(n, str) for n in v),
+        "a non-empty list of names")
+    dims = meta_field("dims", lambda v: type(v) is int and v in (2, 3), "2 or 3")
+    clip_len = meta_field("clip_len", lambda v: type(v) is int and v >= 1, "an int >= 1")
+    lay = meta_field(
+        "layout", lambda v: isinstance(v, dict) and isinstance(v.get("name"), str)
+        and type(v.get("joint_count")) is int and type(v.get("root_joint")) is int
+        and isinstance(v.get("edges"), list),
+        "an object with name, joint_count, edges and root_joint")
+    try:
+        layout = JointLayout(
+            name=lay["name"],
+            joint_count=lay["joint_count"],
+            edges=tuple(tuple(e) for e in lay["edges"]),
+            root_joint=lay["root_joint"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise ClipFormatError(f"{path}: metadata field 'layout' is malformed: {exc}") from exc
+    data, labels = arrays["clips"], arrays["labels"]
+    if data.ndim != 4 or len(data) < 1 or data.shape[1:] != (dims, clip_len, layout.joint_count):
+        raise ClipFormatError(
+            f"{path}: record 'clips' has shape {data.shape}, expected "
+            f"[N >= 1, {dims}, {clip_len}, {layout.joint_count}]"
+        )
+    finite = np.isfinite(data).reshape(len(data), -1).all(axis=1)
+    if not finite.all():
+        raise ClipFormatError(
+            f"{path}: record 'clips' has non-finite values in clip {int(finite.argmin())}"
+        )
+    if labels.dtype.kind not in "iu" or labels.shape != (data.shape[0],):
+        raise ClipFormatError(
+            f"{path}: record 'labels' must be a 1-D integer array with one entry per "
+            f"clip ({data.shape[0]}), got {labels.dtype} of shape {labels.shape}"
+        )
+    bad = (labels < 0) | (labels >= len(class_names))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ClipFormatError(
+            f"{path}: record 'labels' gives clip {i} label {int(labels[i])}, "
+            f"outside the {len(class_names)} classes"
+        )
+    clips = [SkeletonClip(data=clip, label=int(label)) for clip, label in zip(data, labels)]
+    return clips, list(class_names), layout, meta
 
 
 def split_dataset(clips: list[SkeletonClip], train_fraction: float,

@@ -4,15 +4,17 @@ evaluation into a confusion matrix.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradTape, Tensor
+from .autodiff import GradTape, ShapeError, Tensor
 from .metrics import ConfusionMatrix
-from .model import ThreeStreamModel
+from .model import ThreeStreamModel, _is_int
 from .optim import SgdState, sgd_step
 from .skeleton_io import SkeletonClip
 
@@ -34,6 +36,21 @@ class Hyperparams:
     batch_size: int = 32
     epochs: int = 100
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, least in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ValueError(f"Hyperparams: {name} must be an int >= {least}, got {value!r}")
+        lr, momentum = self.learning_rate, self.momentum
+        if not (_is_number(lr) and 0.0 <= lr < math.inf):
+            raise ValueError(f"Hyperparams: learning_rate must be a finite number >= 0, got {lr!r}")
+        if not (_is_number(momentum) and 0.0 <= momentum < 1.0):
+            raise ValueError(f"Hyperparams: momentum must be a number in [0, 1), got {momentum!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -104,6 +121,10 @@ def evaluate(model: ThreeStreamModel, clips: list[SkeletonClip],
         raise ValueError("evaluate: empty clip set")
     data, labels = _stack(clips)
     k = model.config.num_classes
+    bad = (labels < 0) | (labels >= k)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ShapeError(f"evaluate: label {int(labels[i])} of clip {i} is not a class in [0, {k})")
     counts = np.zeros((k, k), dtype=np.int64)
     for start in range(0, len(clips), EVAL_BATCH):
         batch = data[start:start + EVAL_BATCH]

@@ -4,12 +4,7 @@ import pytest
 from scipy import stats
 
 from conftest import ring_adjacency, tiny_model_config
-from fallgcn.benchmark import (
-    LatencySample,
-    benchmark_latency,
-    benchmark_pair,
-    welch_t_test,
-)
+from fallgcn.benchmark import LatencySample, benchmark_pair, welch_t_test
 from fallgcn.model import ThreeStreamModel
 
 
@@ -65,16 +60,16 @@ def test_latency_sample_summary():
 
 def test_benchmark_collects_exact_sample_count():
     model = ThreeStreamModel(tiny_model_config(), ring_adjacency(5))
-    sample = benchmark_latency(model, n_warmup=2, n_samples=30)
-    assert sample.times_ms.shape == (30,)
-    assert sample.mean == pytest.approx(sample.times_ms.mean())
-    assert (sample.times_ms > 0).all()
+    for sample in benchmark_pair(model, model, n_warmup=2, n_samples=30):
+        assert sample.times_ms.shape == (30,)
+        assert sample.mean == pytest.approx(sample.times_ms.mean())
+        assert (sample.times_ms > 0).all()
 
 
 def test_benchmark_requires_30_samples():
     model = ThreeStreamModel(tiny_model_config(), ring_adjacency(5))
     with pytest.raises(ValueError, match="30"):
-        benchmark_latency(model, n_samples=10)
+        benchmark_pair(model, model, n_samples=10)
 
 
 def test_benchmark_pair_interleaves_both_variants():

@@ -128,6 +128,18 @@ def test_train_zero_epochs_initial_checkpoint(workspace, tmp_path, capsys):
     assert read_history(tmp_path / "empty.csv") == []
 
 
+@pytest.mark.parametrize("name, value", [("learning_rate", "0.1"), ("batch_size", 0)])
+def test_train_rejects_bad_hyperparams_by_name(workspace, tmp_path, capsys, name, value):
+    cfg = json.loads((workspace / "run.json").read_text())
+    cfg["train"][name] = value
+    cfg["out"]["checkpoint"] = str(tmp_path / "never.fgcn")
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(cfg_path)]) != 0
+    assert f"Hyperparams: {name}" in capsys.readouterr().err
+    assert not (tmp_path / "never.fgcn").exists()
+
+
 def test_eval_report_matches_metrics_exactly(workspace, capsys):
     code = main([
         "eval", "--config", str(workspace / "run.json"),

@@ -100,14 +100,22 @@ def test_eval_forward_deterministic(tiny_model):
 
 
 def test_zeroing_any_stream_changes_the_distribution():
+    # the pooled stream features are concatenated in config order before
+    # head.fc1, so zeroing one stream's rows of fc1.weight ablates it
     changed = {name: 0 for name in ("joint", "motion", "skip")}
     for seed in range(20):
         cfg = tiny_model_config(init_seed=seed)
         model = ThreeStreamModel(cfg, ring_adjacency(5))
         clip = np.random.default_rng(1000 + seed).normal(size=(2, 8, 5))
         base = model.forward(clip).data
-        for name in changed:
-            ablated = model.forward(clip, zero_stream=name).data
+        weight = model.head.fc1.weight.data
+        width = cfg.channels[1]
+        for i, name in enumerate(cfg.streams):
+            rows = slice(i * width, (i + 1) * width)
+            kept = weight[rows].copy()
+            weight[rows] = 0.0
+            ablated = model.forward(clip).data
+            weight[rows] = kept
             kl = float(np.sum(base * (np.log(base) - np.log(ablated))))
             if kl > 0:
                 changed[name] += 1
@@ -321,6 +329,7 @@ def test_checkpoint_rejects_config_mismatch(tmp_path, tiny_model):
     (lambda cfg: cfg.update(clip_len=1), "clip_len"),
     (lambda cfg: cfg.update(init_seed=-1), "init_seed"),
     (lambda cfg: cfg.update(temporal_pool_residual="no"), "temporal_pool_residual"),
+    (lambda cfg: cfg.update(spatial_pool_residual=False), "spatial_pool_residual"),
     (lambda cfg: cfg.update(streams=["joint", "joint"]), "streams"),
     (lambda cfg: cfg.update(joint_count=6), "joint_count"),  # vs the adjacency record
 ])

@@ -346,3 +346,74 @@ def test_clip_archive_roundtrip_and_determinism(tmp_path):
     for a, b in zip(clips, loaded):
         assert a.label == b.label
         assert np.array_equal(a.data, b.data)
+
+
+def _edited_archive(tmp_path, edit):
+    """A 4-clip stick9 archive rewritten by ``edit(arrays, meta)``."""
+    from fallgcn.checkpoint import load_arrays, save_arrays
+
+    rng = np.random.default_rng(5)
+    clips = [SkeletonClip(data=rng.normal(size=(2, 8, 9)), label=i % 2) for i in range(4)]
+    path = tmp_path / "clips.fgcn"
+    save_clip_archive(path, clips, ["fall", "walk"], builtin_layout("stick9"), stride=4)
+    arrays, meta = load_arrays(path)
+    edit(arrays, meta)
+    save_arrays(path, arrays, meta)
+    return path
+
+
+def _rejects(path, field):
+    with pytest.raises(ClipFormatError, match=field) as info:
+        load_clip_archive(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, 1], dtype=np.int64),
+    np.array([0.0, 1.0, 0.0, 1.0]),
+    np.array([[0], [1], [0], [1]], dtype=np.int64),
+], ids=["short", "float", "2-D"])
+def test_clip_archive_rejects_labels_not_one_int_per_clip(tmp_path, labels):
+    _rejects(_edited_archive(tmp_path, lambda arrays, meta: arrays.update(labels=labels)),
+             "labels")
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_clip_archive_rejects_labels_outside_the_classes(tmp_path, bad):
+    def edit(arrays, meta):
+        arrays["labels"][2] = bad
+
+    _rejects(_edited_archive(tmp_path, edit), f"clip 2 label {bad}")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("layout", None),
+    ("class_names", None),
+    ("dims", None),
+    ("clip_len", None),
+    ("layout", {"name": "stick9", "joint_count": "9", "edges": [], "root_joint": 0}),
+    ("layout", {"name": "stick9", "joint_count": 9, "edges": [[0, 1]], "root_joint": 0}),
+    ("class_names", []),
+    ("dims", "2"),
+    ("clip_len", 8.0),
+])
+def test_clip_archive_rejects_missing_or_malformed_metadata(tmp_path, key, value):
+    # None removes the field
+    def edit(arrays, meta):
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+
+    _rejects(_edited_archive(tmp_path, edit), key)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda arrays, meta: meta.update(clip_len=9),
+    lambda arrays, meta: meta.update(dims=3),
+    lambda arrays, meta: arrays.update(clips=arrays["clips"][:, :, :, :8]),
+    lambda arrays, meta: arrays.update(clips=arrays["clips"][0]),
+    lambda arrays, meta: arrays["clips"].__setitem__((2, 0, 3, 4), np.nan),
+], ids=["clip_len", "dims", "joint_count", "3-D", "non-finite"])
+def test_clip_archive_rejects_a_bad_clips_record(tmp_path, edit):
+    _rejects(_edited_archive(tmp_path, edit), "clips")

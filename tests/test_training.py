@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ring_adjacency, tiny_model_config
 from fallgcn import autodiff as ad
-from fallgcn.autodiff import GradTape, Tensor
+from fallgcn.autodiff import GradTape, ShapeError, Tensor
 from fallgcn.graph import normalized_adjacency
 from fallgcn.layers import MaskingConfig
 from fallgcn.layouts import builtin_layout
@@ -48,6 +48,27 @@ def test_reference_defaults():
     assert hp.momentum == 0.9
     assert hp.batch_size == 32
     assert hp.epochs == 100
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", -0.01),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("learning_rate", "0.1"),
+    ("learning_rate", True),
+    ("momentum", 1.0),
+    ("momentum", -0.1),
+    ("momentum", False),
+    ("batch_size", 0),
+    ("batch_size", 8.0),
+    ("batch_size", True),
+    ("epochs", -1),
+    ("seed", -1),
+    ("seed", 1.5),
+])
+def test_hyperparams_reject_bad_values_by_name(name, value):
+    with pytest.raises(ValueError, match=name):
+        Hyperparams(**{name: value})
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
@@ -186,6 +207,14 @@ def test_evaluate_constant_predictor_counts():
     cm = evaluate(model, clips)
     assert cm.counts[0, 0] == 10
     assert cm.total == 10
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_evaluate_rejects_labels_outside_the_classes(bad):
+    clips = toy_clips(3)
+    clips[1] = SkeletonClip(data=clips[1].data, label=bad)
+    with pytest.raises(ShapeError, match=f"label {bad} of clip 1"):
+        evaluate(fresh_model(), clips)
 
 
 def test_evaluate_order_invariant_and_counts_sum():
