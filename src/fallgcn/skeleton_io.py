@@ -375,11 +375,6 @@ def load_clip_archive(path: str | Path) -> tuple[list[SkeletonClip], list[str], 
             f"{path}: record 'clips' has shape {data.shape}, expected "
             f"[N >= 1, {dims}, {clip_len}, {layout.joint_count}]"
         )
-    finite = np.isfinite(data).reshape(len(data), -1).all(axis=1)
-    if not finite.all():
-        raise ClipFormatError(
-            f"{path}: record 'clips' has non-finite values in clip {int(finite.argmin())}"
-        )
     if labels.dtype.kind not in "iu" or labels.shape != (data.shape[0],):
         raise ClipFormatError(
             f"{path}: record 'labels' must be a 1-D integer array with one entry per "
@@ -392,7 +387,12 @@ def load_clip_archive(path: str | Path) -> tuple[list[SkeletonClip], list[str], 
             f"{path}: record 'labels' gives clip {i} label {int(labels[i])}, "
             f"outside the {len(class_names)} classes"
         )
-    clips = [SkeletonClip(data=clip, label=int(label)) for clip, label in zip(data, labels)]
+    clips = []
+    for i, (clip, label) in enumerate(zip(data, labels)):
+        try:
+            clips.append(SkeletonClip(data=clip, label=int(label)))
+        except ValueError as exc:
+            raise ClipFormatError(f"{path}: record 'clips', clip {i}: {exc}") from exc
     return clips, list(class_names), layout, meta
 
 
