@@ -32,7 +32,6 @@ from .optim import SgdState, sgd_step
 from .skeleton_io import (
     DatasetManifest,
     SkeletonClip,
-    SkeletonFrame,
     SkeletonSequence,
     drop_invalid_frames,
     load_sequences,

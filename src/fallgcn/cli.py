@@ -99,6 +99,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.seed is not None:
         apply_seed_override(cfg, args.seed)
     hp = Hyperparams(**cfg["train"])
+    masking = MaskingConfig(**cfg["masking"])
     archive_path = args.archive or cfg["data"]["archive"]
     if archive_path is None:
         return _fail("train: no clip archive given (flag --archive or config data.archive)")
@@ -107,7 +108,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         clips, cfg["data"]["train_fraction"], cfg["data"]["split_seed"]
     )
     model_cfg = ModelConfig(
-        **cfg["model"], masking=MaskingConfig(**cfg["masking"]),
+        **cfg["model"], masking=masking,
         dims=meta["dims"], clip_len=meta["clip_len"], joint_count=layout.joint_count,
         num_classes=len(class_names), layout_name=layout.name,
     )

@@ -7,6 +7,7 @@ and joint count V are preserved everywhere.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,8 @@ class MaskingConfig:
 
     def __post_init__(self) -> None:
         for name, p in (("p_joint", self.p_joint), ("p_frame", self.p_frame)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"MaskingConfig: {name} must be in [0, 1], got {p}")
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"MaskingConfig: {name} must be a number in [0, 1], got {p!r}")
 
 
 def apply_masking(x: Tensor, cfg: MaskingConfig,

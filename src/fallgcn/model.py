@@ -263,11 +263,11 @@ def _block_flops(c_in: int, c_out: int, t: int, v: int, kind: str, k_t: int,
     return embed + aggregate + tcn + proj
 
 
-def count_flops(model: ThreeStreamModel, input_shape: tuple[int, int, int] | None = None) -> int:
+def count_flops(model: ThreeStreamModel) -> int:
     """Multiplies in one single-clip forward pass: SGC matmuls, temporal
     convolutions, residual/skip projections, and the head."""
     cfg = model.config
-    dims, t, v = input_shape or (cfg.dims, cfg.clip_len, cfg.joint_count)
+    dims, t, v = cfg.dims, cfg.clip_len, cfg.joint_count
     c1, c2 = cfg.channels
     total = 0
     for name in cfg.streams:

@@ -11,7 +11,11 @@ Sequence file: JSON Lines, one record per skeleton sequence::
 where FRAME is either a bare array of per-joint ``[x, y]`` (or
 ``[x, y, z]``) coordinate arrays in layout order, or an object
 ``{"joints": [...], "valid": false}`` for frames where pose extraction
-failed (``valid`` defaults to true).
+failed (``valid`` defaults to true). A record loads as one
+``SkeletonSequence``: coordinates [T, joints, dims] and a validity mask
+[T]. A non-finite coordinate, a ``valid`` that is not a JSON boolean, a
+``frames`` that is not a list, or frames mixing 2-D and 3-D fail with
+``ClipFormatError`` naming ``path:line`` (and the frame, if one is at fault).
 
 Manifest file: CSV with a required header ``path,label,id``; paths are
 resolved relative to the manifest's directory.
@@ -38,43 +42,32 @@ class ClipFormatError(ValueError):
 
 
 @dataclass
-class SkeletonFrame:
-    """Per-frame joint coordinates [joint_count, dims] and a validity flag."""
-
-    coords: np.ndarray
-    valid: bool = True
-
-    def __post_init__(self) -> None:
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.coords.ndim != 2 or self.coords.shape[1] not in (2, 3):
-            raise ValueError(
-                f"frame coords must be [joints, 2 or 3], got shape {self.coords.shape}"
-            )
-        if not np.isfinite(self.coords).all():
-            raise ValueError("frame contains non-finite coordinates")
-
-
-@dataclass
 class SkeletonSequence:
-    """One labeled recording: ordered frames sharing a joint layout."""
+    """One labeled recording: coords [T, joints, dims] and validity mask [T]."""
 
     id: str
     label: int
-    frames: list[SkeletonFrame]
+    coords: np.ndarray
+    valid: np.ndarray
     layout: JointLayout
 
     def __post_init__(self) -> None:
-        for i, f in enumerate(self.frames):
-            if f.coords.shape[0] != self.layout.joint_count:
-                raise ValueError(
-                    f"sequence '{self.id}': frame {i} has {f.coords.shape[0]} joints, "
-                    f"layout '{self.layout.name}' expects {self.layout.joint_count}"
-                )
-            if f.coords.shape[1] != self.frames[0].coords.shape[1]:
-                raise ValueError(f"sequence '{self.id}': frame {i} changes dims")
+        self.coords = np.asarray(self.coords, dtype=np.float64)
+        self.valid = np.asarray(self.valid)
+        v = self.layout.joint_count
+        if (self.coords.shape[1:] not in ((v, 2), (v, 3)) or self.valid.dtype != bool
+                or self.valid.shape != self.coords.shape[:1]):
+            raise ValueError(
+                f"sequence '{self.id}': layout '{self.layout.name}' needs coords "
+                f"[T, {v}, 2 or 3] and a bool mask valid [T], got {self.coords.shape} "
+                f"and {self.valid.dtype} {self.valid.shape}")
+        finite = np.isfinite(self.coords).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"sequence '{self.id}': frame {finite.argmin()} has non-finite "
+                             "coordinates")
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.coords)
 
 
 @dataclass
@@ -90,6 +83,8 @@ class SkeletonClip:
             raise ValueError(f"clip data must be [dims, T, joints], got {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ValueError("clip contains non-finite values")
+        if isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer)):
+            raise ValueError(f"clip label must be an integer, got {self.label!r}")
 
 
 @dataclass
@@ -153,14 +148,16 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
             writer.writerow([str(e.path), e.label, e.seq_id])
 
 
-def _parse_frame(raw, layout: JointLayout, where: str) -> SkeletonFrame:
+def _parse_frame(raw, layout: JointLayout, where: str) -> tuple[np.ndarray, bool]:
     valid = True
     joints = raw
     if isinstance(raw, dict):
         if "joints" not in raw:
             raise ClipFormatError(f"{where}: frame object missing 'joints'")
         joints = raw["joints"]
-        valid = bool(raw.get("valid", True))
+        valid = raw.get("valid", True)
+        if not isinstance(valid, bool):
+            raise ClipFormatError(f"{where}: 'valid' must be true or false, got {valid!r}")
     try:
         coords = np.asarray(joints, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -175,12 +172,12 @@ def _parse_frame(raw, layout: JointLayout, where: str) -> SkeletonFrame:
             f"{where}: frame has {coords.shape[0]} joints, layout "
             f"'{layout.name}' expects {layout.joint_count}"
         )
-    return SkeletonFrame(coords=coords, valid=valid)
+    return coords, valid
 
 
 def parse_sequence_records(path: str | Path, layout: JointLayout) -> dict[str, dict]:
-    """All records in a sequence file, keyed by id; values keep raw label
-    and parsed frames."""
+    """All records in a sequence file, keyed by id; each value holds the
+    raw label, ``coords`` [T, joints, dims], ``valid`` [T] and the line."""
     path = Path(path)
     records: dict[str, dict] = {}
     with open(path) as fh:
@@ -192,12 +189,18 @@ def parse_sequence_records(path: str | Path, layout: JointLayout) -> dict[str, d
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ClipFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or "id" not in rec or "frames" not in rec:
-                raise ClipFormatError(f"{path}:{lineno}: record needs 'id' and 'frames'")
+            if not isinstance(rec, dict) or "id" not in rec or not isinstance(
+                    rec.get("frames"), list):
+                raise ClipFormatError(f"{path}:{lineno}: record needs 'id' and a 'frames' list")
             frames = [
                 _parse_frame(f, layout, f"{path}:{lineno} (frame {i})")
                 for i, f in enumerate(rec["frames"])
             ]
+            dims = frames[0][0].shape[1] if frames else 2
+            for i, (coords, _) in enumerate(frames):
+                if coords.shape[1] != dims:
+                    raise ClipFormatError(f"{path}:{lineno} (frame {i}): frame has "
+                                          f"{coords.shape[1]} dims, frame 0 has {dims}")
             if str(rec["id"]) in records:
                 raise ClipFormatError(
                     f"{path}:{lineno}: duplicate record id '{rec['id']}' "
@@ -205,7 +208,8 @@ def parse_sequence_records(path: str | Path, layout: JointLayout) -> dict[str, d
                 )
             records[str(rec["id"])] = {
                 "label": rec.get("label"),
-                "frames": frames,
+                "coords": np.array([c for c, _ in frames]).reshape(-1, layout.joint_count, dims),
+                "valid": np.array([v for _, v in frames], dtype=bool),
                 "line": lineno,
             }
     return records
@@ -217,10 +221,10 @@ def write_sequences(path: str | Path, sequences: list[SkeletonSequence],
     :func:`parse_sequence_records`)."""
     with open(path, "w") as fh:
         for seq in sequences:
-            frames = []
-            for f in seq.frames:
-                joints = [[float(x) for x in row] for row in f.coords]
-                frames.append(joints if f.valid else {"joints": joints, "valid": False})
+            frames = [
+                joints if ok else {"joints": joints, "valid": False}
+                for joints, ok in zip(seq.coords.tolist(), seq.valid.tolist())
+            ]
             rec = {"id": seq.id, "label": class_names[seq.label], "frames": frames}
             fh.write(json.dumps(rec) + "\n")
 
@@ -245,21 +249,20 @@ def load_sequences(manifest: DatasetManifest, layout: JointLayout) -> list[Skele
                 f"(found {sorted(records)})"
             )
         rec = records[entry.seq_id]
-        out.append(
-            SkeletonSequence(
-                id=entry.seq_id,
-                label=manifest.label_index(entry.label),
-                frames=rec["frames"],
-                layout=layout,
-            )
-        )
+        try:
+            out.append(SkeletonSequence(
+                id=entry.seq_id, label=manifest.label_index(entry.label),
+                coords=rec["coords"], valid=rec["valid"], layout=layout,
+            ))
+        except ValueError as exc:
+            raise ClipFormatError(f"{entry.path}:{rec['line']}: {exc}") from exc
     return out
 
 
 def drop_invalid_frames(seq: SkeletonSequence) -> SkeletonSequence:
     """Keep exactly the frames where pose extraction succeeded."""
-    kept = [f for f in seq.frames if f.valid]
-    return SkeletonSequence(id=seq.id, label=seq.label, frames=kept, layout=seq.layout)
+    return SkeletonSequence(id=seq.id, label=seq.label, coords=seq.coords[seq.valid],
+                            valid=seq.valid[seq.valid], layout=seq.layout)
 
 
 def window_sequence(seq: SkeletonSequence, clip_len: int, stride: int) -> list[SkeletonClip]:
@@ -273,21 +276,18 @@ def window_sequence(seq: SkeletonSequence, clip_len: int, stride: int) -> list[S
         raise ValueError(f"window_sequence: clip_len must be >= 2, got {clip_len}")
     if stride < 1:
         raise ValueError(f"window_sequence: stride must be >= 1, got {stride}")
-    if not seq.frames:
+    length = len(seq)
+    if not length:
         raise ValueError(f"window_sequence: sequence '{seq.id}' is empty")
-    stacked = np.stack([f.coords for f in seq.frames])  # [T, V, dims]
-    length = stacked.shape[0]
-    clips = []
     if length < clip_len:
-        pad_source = [f for f in seq.frames if f.valid] or seq.frames
-        pad = np.repeat(pad_source[-1].coords[None], clip_len - length, axis=0)
-        window = np.concatenate([stacked, pad], axis=0)
-        clips.append(SkeletonClip(data=window.transpose(2, 0, 1), label=seq.label))
+        valid_rows = np.flatnonzero(seq.valid)
+        last = seq.coords[valid_rows[-1] if len(valid_rows) else -1]
+        pad = np.repeat(last[None], clip_len - length, axis=0)
+        windows = [np.concatenate([seq.coords, pad], axis=0)]
     else:
-        for start in range(0, length - clip_len + 1, stride):
-            window = stacked[start:start + clip_len]
-            clips.append(SkeletonClip(data=window.transpose(2, 0, 1), label=seq.label))
-    return clips
+        windows = [seq.coords[start:start + clip_len]
+                   for start in range(0, length - clip_len + 1, stride)]
+    return [SkeletonClip(data=w.transpose(2, 0, 1), label=seq.label) for w in windows]
 
 
 NORMALIZE_MIN_SCALE = 1e-8

@@ -19,7 +19,6 @@ import numpy as np
 from .layouts import JointLayout, builtin_layout
 from .skeleton_io import (
     SkeletonClip,
-    SkeletonFrame,
     SkeletonSequence,
     drop_invalid_frames,
     normalize_clip,
@@ -93,12 +92,8 @@ def generate_sequences(n_per_class: int, seed: int,
             frames_xy = frames_xy * scale + offset
             valid = rng.random(length) >= invalid_rate
             valid[-1] = True  # keep a valid pad source for short sequences
-            frames = [SkeletonFrame(coords=frames_xy[i], valid=bool(valid[i]))
-                      for i in range(length)]
-            sequences.append(
-                SkeletonSequence(id=f"{name}{k:04d}", label=label, frames=frames,
-                                 layout=layout)
-            )
+            sequences.append(SkeletonSequence(id=f"{name}{k:04d}", label=label,
+                                              coords=frames_xy, valid=valid, layout=layout))
     return sequences
 
 

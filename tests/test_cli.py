@@ -94,6 +94,22 @@ def test_ingest_bad_path_named_and_nonzero(workspace, tmp_path, capsys):
     assert "ghost.jsonl" in capsys.readouterr().err
 
 
+def test_ingest_non_finite_coordinate_names_file_line_and_frame(workspace, tmp_path, capsys):
+    seq_path = tmp_path / "nan.jsonl"
+    frame = "[[0.0, NaN]" + ", [0.0, 0.0]" * 8 + "]"  # stick9: 9 joints
+    seq_path.write_text(f'{{"id": "a", "label": "fall", "frames": [{frame}]}}\n')
+    manifest = tmp_path / "nan.csv"
+    write_manifest(manifest, [ManifestEntry(seq_path, "fall", "a")])
+    code = main([
+        "ingest", "--config", str(workspace / "run.json"),
+        "--manifest", str(manifest), "--out", str(tmp_path / "o.fgcn"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{seq_path}:1" in err and "frame 0" in err
+    assert "Traceback" not in err
+
+
 def test_train_writes_checkpoint_and_history(workspace, capsys):
     assert main(["train", "--config", str(workspace / "run.json")]) == 0
     out = capsys.readouterr().out
@@ -137,6 +153,18 @@ def test_train_rejects_bad_hyperparams_by_name(workspace, tmp_path, capsys, name
     cfg_path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(cfg_path)]) != 0
     assert f"Hyperparams: {name}" in capsys.readouterr().err
+    assert not (tmp_path / "never.fgcn").exists()
+
+
+@pytest.mark.parametrize("value", ["0.1", True])
+def test_train_rejects_a_bad_masking_probability_by_name(workspace, tmp_path, capsys, value):
+    cfg = json.loads((workspace / "run.json").read_text())
+    cfg["masking"]["p_joint"] = value
+    cfg["out"]["checkpoint"] = str(tmp_path / "never.fgcn")
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "MaskingConfig: p_joint" in capsys.readouterr().err
     assert not (tmp_path / "never.fgcn").exists()
 
 

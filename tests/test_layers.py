@@ -168,6 +168,23 @@ def test_masking_zero_probability_and_eval_mode_are_identity():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("p_joint, p_frame, name", [
+    ("0.1", 0.1, "p_joint"),
+    (True, 0.1, "p_joint"),
+    (0.1, None, "p_frame"),
+    (0.1, 1.5, "p_frame"),
+    (0.1, float("nan"), "p_frame"),
+])
+def test_masking_config_rejects_a_probability_that_is_not_a_number_in_0_1(
+        p_joint, p_frame, name):
+    with pytest.raises(ValueError, match=f"MaskingConfig: {name}"):
+        MaskingConfig(p_joint, p_frame)
+
+
+def test_masking_config_accepts_ints_and_numpy_floats():
+    assert MaskingConfig(1, np.float64(0.25)) == MaskingConfig(1.0, 0.25)
+
+
 def test_masking_without_rng_raises():
     x = Tensor(np.ones((2, 3, 4, 5)))
     with pytest.raises(ValueError, match="rng"):

@@ -228,7 +228,7 @@ def test_count_flops_closed_form_and_scaling(tiny_model):
 
     # doubling T doubles block flops, head unchanged
     head = 3 * c2 * cfg.head_hidden + cfg.head_hidden * cfg.num_classes
-    doubled = count_flops(tiny_model, (cfg.dims, 2 * t, v))
+    doubled = count_flops(ThreeStreamModel(tiny_model_config(clip_len=2 * t), ring_adjacency(v)))
     assert doubled - head == 2 * (count_flops(tiny_model) - head)
 
 
@@ -332,6 +332,7 @@ def test_checkpoint_rejects_config_mismatch(tmp_path, tiny_model):
     (lambda cfg: cfg.update(spatial_pool_residual=False), "spatial_pool_residual"),
     (lambda cfg: cfg.update(streams=["joint", "joint"]), "streams"),
     (lambda cfg: cfg.update(joint_count=6), "joint_count"),  # vs the adjacency record
+    (lambda cfg: cfg["masking"].update(p_joint=True), "p_joint"),
 ])
 def test_checkpoint_rejects_malformed_model_config(tmp_path, tiny_model, edit, bad_key):
     from fallgcn.checkpoint import load_arrays, save_arrays

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fallgcn.layouts import JointLayout, builtin_layout
 from fallgcn.skeleton_io import (
@@ -12,7 +15,6 @@ from fallgcn.skeleton_io import (
     ManifestEntry,
     ManifestError,
     SkeletonClip,
-    SkeletonFrame,
     SkeletonSequence,
     drop_invalid_frames,
     load_clip_archive,
@@ -32,12 +34,10 @@ PAIR = JointLayout(name="pair", joint_count=2, edges=((0, 1),), root_joint=0)
 
 def make_seq(length, label=0, layout=PAIR, valid=None, seed=0):
     rng = np.random.default_rng(seed)
-    frames = [
-        SkeletonFrame(coords=rng.normal(size=(layout.joint_count, 2)),
-                      valid=True if valid is None else valid[i])
-        for i in range(length)
-    ]
-    return SkeletonSequence(id=f"s{seed}", label=label, frames=frames, layout=layout)
+    coords = rng.normal(size=(length, layout.joint_count, 2))
+    valid = np.ones(length, dtype=bool) if valid is None else np.array(valid, dtype=bool)
+    return SkeletonSequence(id=f"s{seed}", label=label, coords=coords, valid=valid,
+                            layout=layout)
 
 
 # --- sequence files and manifests -------------------------------------------
@@ -68,9 +68,8 @@ def test_load_sequences_roundtrip(tmp_path):
     for original, got in zip(seqs, loaded):
         assert len(got) == 3
         assert got.label == original.label
-        for fa, fb in zip(original.frames, got.frames):
-            assert np.allclose(fa.coords, fb.coords)
-            assert fa.valid == fb.valid
+        assert np.allclose(original.coords, got.coords)
+        assert np.array_equal(original.valid, got.valid)
 
 
 def test_valid_flag_roundtrips(tmp_path):
@@ -78,7 +77,7 @@ def test_valid_flag_roundtrips(tmp_path):
     path = tmp_path / "seq.jsonl"
     write_sequences(path, [seq], ["fall"])
     records = parse_sequence_records(path, PAIR)
-    flags = [f.valid for f in records[seq.id]["frames"]]
+    flags = records[seq.id]["valid"].tolist()
     assert flags == [True, False, True, False]
 
 
@@ -126,6 +125,56 @@ def test_malformed_json_reports_line(tmp_path):
         parse_sequence_records(path, PAIR)
 
 
+GOOD_FRAME = "[[0.0, 0.0], [1.0, 1.0]]"
+
+
+@pytest.mark.parametrize("frames, frame", [
+    (f"[{GOOD_FRAME}, [[0.0, NaN], [1.0, 1.0]]]", 1),
+    (f"[{GOOD_FRAME}, {GOOD_FRAME}, [[0.0, 0.0], [Infinity, 1.0]]]", 2),
+    (f"[{GOOD_FRAME}, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]]", 1),
+    ("5", None),
+    (f'[{GOOD_FRAME}, {{"joints": {GOOD_FRAME}, "valid": "false"}}]', 1),
+], ids=["NaN", "Infinity", "mixed-dims", "frames-not-a-list", "valid-not-a-bool"])
+def test_bad_sequence_record_names_file_line_and_frame(tmp_path, frames, frame):
+    path = tmp_path / "seq.jsonl"
+    path.write_text(f'{{"id": "a", "label": "fall", "frames": [{GOOD_FRAME}]}}\n'
+                    f'{{"id": "b", "label": "fall", "frames": {frames}}}\n')
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(manifest, [ManifestEntry(path, "fall", "a"), ManifestEntry(path, "fall", "b")])
+    with pytest.raises(ClipFormatError) as info:
+        load_sequences(read_manifest(manifest, "pair"), PAIR)
+    assert f"{path}:2" in str(info.value)
+    if frame is not None:
+        assert f"frame {frame}" in str(info.value)
+
+
+@pytest.mark.parametrize("coords, valid", [
+    (np.zeros((3, 3, 2)), np.ones(3, dtype=bool)),
+    (np.zeros((3, 2, 4)), np.ones(3, dtype=bool)),
+    (np.zeros((3, 2)), np.ones(3, dtype=bool)),
+    (np.zeros((3, 2, 2)), np.ones(3)),
+    (np.zeros((3, 2, 2)), np.ones(2, dtype=bool)),
+], ids=["joint-count", "dims", "2-D", "float-mask", "mask-length"])
+def test_sequence_rejects_bad_coords_or_mask(coords, valid):
+    with pytest.raises(ValueError, match="sequence 'x'"):
+        SkeletonSequence(id="x", label=0, coords=coords, valid=valid, layout=PAIR)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(0, 12), dims=st.sampled_from([2, 3]), data=st.data())
+def test_sequence_file_roundtrip_is_bit_exact(tmp_path_factory, t, dims, data):
+    coords = data.draw(arrays(np.float64, (t, PAIR.joint_count, dims),
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    valid = data.draw(arrays(np.bool_, (t,)))
+    seq = SkeletonSequence(id="s", label=0, coords=coords, valid=valid, layout=PAIR)
+    manifest = write_dataset(tmp_path_factory.mktemp("roundtrip"), [seq], ["fall"])
+    (got,) = load_sequences(read_manifest(manifest, "pair"), PAIR)
+    # a record without frames carries no dims and loads as 2-D
+    assert got.coords.shape == (t, PAIR.joint_count, dims if t else 2)
+    assert got.coords.tobytes() == seq.coords.tobytes()
+    assert np.array_equal(got.valid, seq.valid)
+
+
 def test_manifest_header_required(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a.jsonl,fall,s0\n")
@@ -152,15 +201,15 @@ def test_drop_invalid_counts():
     out = drop_invalid_frames(seq)
     assert len(out) == 7
     assert out.label == seq.label
-    kept = [f for f in seq.frames if f.valid]
-    assert all(np.array_equal(a.coords, b.coords) for a, b in zip(out.frames, kept))
+    kept = [c for c, ok in zip(seq.coords, seq.valid) if ok]
+    assert all(np.array_equal(a, b) for a, b in zip(out.coords, kept))
 
 
 def test_drop_invalid_identity_when_all_valid():
     seq = make_seq(5)
     out = drop_invalid_frames(seq)
     assert len(out) == 5
-    assert all(np.array_equal(a.coords, b.coords) for a, b in zip(out.frames, seq.frames))
+    assert all(np.array_equal(a, b) for a, b in zip(out.coords, seq.coords))
 
 
 def test_drop_invalid_imvia_scale_counts():
@@ -168,9 +217,9 @@ def test_drop_invalid_imvia_scale_counts():
     total, invalid = 42066, 1435
     rng = np.random.default_rng(0)
     bad = set(rng.choice(total, size=invalid, replace=False).tolist())
-    coords = np.zeros((2, 2))
-    frames = [SkeletonFrame(coords=coords, valid=i not in bad) for i in range(total)]
-    seq = SkeletonSequence(id="imvia", label=0, frames=frames, layout=PAIR)
+    valid = np.array([i not in bad for i in range(total)])
+    seq = SkeletonSequence(id="imvia", label=0, coords=np.zeros((total, 2, 2)), valid=valid,
+                           layout=PAIR)
     assert len(drop_invalid_frames(seq)) == 40631
 
 
@@ -185,7 +234,7 @@ def test_window_counts_examples():
 def test_window_starts_at_stride_multiples():
     seq = make_seq(100)
     clips = window_sequence(seq, 64, 32)
-    stacked = np.stack([f.coords for f in seq.frames]).transpose(2, 0, 1)
+    stacked = seq.coords.transpose(2, 0, 1)
     assert np.array_equal(clips[0].data, stacked[:, 0:64, :])
     assert np.array_equal(clips[1].data, stacked[:, 32:96, :])
 
@@ -194,9 +243,17 @@ def test_window_pads_short_sequence_with_last_frame():
     seq = make_seq(10)
     (clip,) = window_sequence(seq, 64, 32)
     assert clip.data.shape == (2, 64, 2)
-    last = seq.frames[-1].coords.T  # [dims, V]
+    last = seq.coords[-1].T  # [dims, V]
     for t in range(10, 64):
         assert np.array_equal(clip.data[:, t, :], last)
+
+
+def test_window_pads_with_the_last_valid_frame():
+    seq = make_seq(5, valid=[True, True, True, False, False])
+    (clip,) = window_sequence(seq, 8, 4)
+    assert np.array_equal(clip.data[:, :5, :], seq.coords.transpose(2, 0, 1))
+    for t in range(5, 8):
+        assert np.array_equal(clip.data[:, t, :], seq.coords[2].T)
 
 
 def test_window_count_property_sweep():
@@ -256,6 +313,16 @@ def test_pipeline_preserves_label_and_joint_count():
         normalized = normalize_clip(clip, layout)
         assert normalized.label == 3
         assert normalized.data.shape[2] == layout.joint_count
+
+
+@pytest.mark.parametrize("label", [1.5, True, np.bool_(True), "1"])
+def test_clip_rejects_a_label_that_is_not_an_integer(label):
+    with pytest.raises(ValueError, match="label must be an integer"):
+        SkeletonClip(data=np.zeros((2, 4, 2)), label=label)
+
+
+def test_clip_accepts_a_numpy_integer_label():
+    assert SkeletonClip(data=np.zeros((2, 4, 2)), label=np.int64(1)).label == 1
 
 
 # --- splitting ---------------------------------------------------------------

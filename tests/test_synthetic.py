@@ -8,11 +8,11 @@ def test_generator_deterministic():
     b = generate_sequences(5, seed=3)
     for sa, sb in zip(a, b):
         assert sa.id == sb.id and sa.label == sb.label and len(sa) == len(sb)
-        for fa, fb in zip(sa.frames, sb.frames):
-            assert np.array_equal(fa.coords, fb.coords)
+        assert np.array_equal(sa.coords, sb.coords)
+        assert np.array_equal(sa.valid, sb.valid)
     c = generate_sequences(5, seed=4)
     assert any(
-        not np.array_equal(x.frames[0].coords, y.frames[0].coords)
+        not np.array_equal(x.coords[0], y.coords[0])
         for x, y in zip(a, c)
     )
 
@@ -26,16 +26,16 @@ def test_generator_counts_and_labels():
 
 def test_fall_root_descends_monotonically():
     for seq in generate_sequences(5, seed=1):
-        root_y = np.array([f.coords[4, 1] for f in seq.frames])
+        root_y = seq.coords[:, 4, 1]
         if seq.label == 0:
             assert np.all(np.diff(root_y) < 0)
 
 
 def test_invalid_rate_marks_frames():
     seqs = generate_sequences(10, seed=2, invalid_rate=0.3)
-    flags = [f.valid for s in seqs for f in s.frames]
+    flags = np.concatenate([s.valid for s in seqs])
     assert 0.5 < np.mean(flags) < 0.9
-    assert all(s.frames[-1].valid for s in seqs)
+    assert all(s.valid[-1] for s in seqs)
 
 
 def test_make_dataset_sizes_and_balance():
