@@ -13,8 +13,8 @@ rng = np.random.default_rng(0)
 # A toy regression-ish objective: softmax classifier on random features.
 features = Tensor(rng.normal(size=(8, 5)))
 labels = rng.integers(0, 3, size=8)
-weight = parameter(rng.normal(0, 0.5, size=(5, 3)), name="weight")
-bias = parameter(np.zeros(3), name="bias")
+weight = parameter(rng.normal(0, 0.5, size=(5, 3)))
+bias = parameter(np.zeros(3))
 
 
 def loss_fn():
@@ -40,7 +40,7 @@ out = ad.relu(Tensor([-2.0, 0.0, 3.0]))
 print("\nrelu(-2, 0, 3) =", out.data)
 
 # Parameters that never touch the loss get exactly-zero gradients.
-stray = parameter(rng.normal(size=(4,)), name="stray")
+stray = parameter(rng.normal(size=(4,)))
 with GradTape() as tape:
     loss = loss_fn()
 (g_stray,) = tape.gradients(loss, [stray])

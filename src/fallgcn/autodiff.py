@@ -88,12 +88,11 @@ class Tensor:
     ``key`` is unique within the process and names the tensor on a tape.
     """
 
-    __slots__ = ("data", "requires_grad", "name", "key")
+    __slots__ = ("data", "requires_grad", "key")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.name = name
         self.key = next(_KEYS)
 
     @property
@@ -112,13 +111,12 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, name: str | None = None) -> Tensor:
+def parameter(data) -> Tensor:
     """A trainable leaf tensor."""
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, requires_grad=True)
 
 
 # Backward fn: upstream gradient -> one gradient (or None) per input. The

@@ -11,7 +11,7 @@ Layout (all integers little-endian):
     count   u64
     record  u16 name length + UTF-8 name
             u8  dtype code (0 = float64, 1 = int64)
-            u8  ndim
+            u8  ndim, at most 32 (numpy 1.x's limit)
             u64 per dimension
             raw little-endian array data, row-major
 """
@@ -29,6 +29,7 @@ VERSION = 1
 
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8")}
 _CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
+MAX_NDIM = 32
 
 
 class CheckpointError(ValueError):
@@ -48,6 +49,8 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray],
             arr = arr.copy(order="C")  # np.ascontiguousarray would promote 0-d to 1-d
         if arr.dtype not in _CODES:
             raise CheckpointError(f"record '{name}': unsupported dtype {arr.dtype}")
+        if arr.ndim > MAX_NDIM:
+            raise CheckpointError(f"record '{name}': {arr.ndim} dimensions, at most {MAX_NDIM}")
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_bytes)))
         chunks.append(name_bytes)
@@ -106,12 +109,20 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise CheckpointError(f"{path}: record '{name}' has unknown dtype code {code}")
+        shape_at = pos
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         n_bytes = math.prod(shape) * _DTYPES[code].itemsize  # Python ints: no wrap
         if n_bytes > len(buf) - pos:
             raise CheckpointError(
                 f"{path}: truncated at byte {pos}: record '{name}' of shape {shape} "
                 f"needs {n_bytes} bytes, {len(buf) - pos} left"
+            )
+        # numpy also refuses an empty shape whose other dimensions overflow
+        size = math.prod(d for d in shape if d) * _DTYPES[code].itemsize
+        if ndim > MAX_NDIM or size > np.iinfo(np.intp).max:
+            raise CheckpointError(
+                f"{path}: record '{name}' at byte {shape_at} has a shape numpy cannot "
+                f"build: {ndim} dimensions (at most {MAX_NDIM}), {shape}"
             )
         data = np.frombuffer(take(n_bytes), dtype=_DTYPES[code]).reshape(shape)
         arrays[name] = data.astype(data.dtype.newbyteorder("="), copy=True)

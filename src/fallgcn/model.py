@@ -133,17 +133,55 @@ class ClassifierHead:
         )
 
 
-class ThreeStreamModel:
-    """Joint, motion, and skip streams pooled into one feature vector.
+@dataclass(eq=False)
+class Stream:
+    """One input stream: the clip, or its frame differences if ``motion``
+    is set, through GSTCN blocks and an optional pointwise projection,
+    average-pooled over frames and joints. ``compute_motion`` is looked
+    up when the stream runs, so a wrapper on the module global sees it."""
 
-    Streams 1 and 2 are two stacked GSTCN blocks each (the second block
-    extends the temporal receptive field); stream 3 is a pointwise
-    projection of the raw clip. Each stream is globally average-pooled
-    over frames and joints before concatenation, so the skip stream
-    aligns with the convolutional streams without extra plumbing.
-    Motion is derived internally from the same clip the joint stream
-    sees. The two convolutional streams keep independent adjacency
-    masks.
+    blocks: list[GstcnBlock]
+    proj: Tensor | None = None
+    motion: bool = False
+
+    def forward(self, x: Tensor, masking: MaskingConfig | None = None,
+                rng: np.random.Generator | None = None) -> Tensor:
+        """Pooled [N, C] features; ``masking`` is given only in training."""
+        h = compute_motion(x) if self.motion else x
+        for block in self.blocks:
+            h = block.forward(h, masking, rng)
+        if self.proj is not None:
+            h = ad.pointwise_conv(h, self.proj)
+        return ad.global_avg_pool(h)
+
+    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
+        out = [p for i, block in enumerate(self.blocks)
+               for p in block.parameters(f"{prefix}.block{i + 1}")]
+        if self.proj is not None:
+            out.append((f"{prefix}.proj", self.proj))
+        return out
+
+
+def _build_stream(name: str, config: ModelConfig, norm_adj: np.ndarray,
+                  rng: np.random.Generator) -> Stream:
+    c1, c2 = config.channels
+    if name == "skip":
+        return Stream([], proj=parameter(
+            rng.normal(0.0, np.sqrt(2.0 / config.dims), (config.dims, c2))))
+    blocks = [GstcnBlock(c_in, c_out, norm_adj, rng, tcn=config.tcn, kernel_t=config.kernel_t)
+              for c_in, c_out in ((config.dims, c1), (c1, c2))]
+    return Stream(blocks, motion=name == "motion")
+
+
+class ThreeStreamModel:
+    """Joint, motion and skip :class:`Stream` features, concatenated in
+    ``config.streams`` order and classified by the head.
+
+    Joint and motion are two GSTCN blocks each (the second extends the
+    temporal receptive field) with independent adjacency masks; skip is
+    a pointwise projection of the raw clip. ``streams`` holds them by
+    name in the order joint, motion, skip, whatever the config order, so
+    ``init_seed`` draws and parameter records do not depend on it.
     """
 
     def __init__(self, config: ModelConfig, norm_adj: np.ndarray):
@@ -156,59 +194,18 @@ class ThreeStreamModel:
         self.config = config
         self.norm_adj = norm_adj
         rng = np.random.default_rng(config.init_seed)
-        c1, c2 = config.channels
-
-        def make_block(c_in, c_out):
-            return GstcnBlock(c_in, c_out, norm_adj, rng, tcn=config.tcn,
-                              kernel_t=config.kernel_t)
-
-        self.joint_blocks = (
-            [make_block(config.dims, c1), make_block(c1, c2)]
-            if "joint" in config.streams else []
-        )
-        self.motion_blocks = (
-            [make_block(config.dims, c1), make_block(c1, c2)]
-            if "motion" in config.streams else []
-        )
-        self.skip_proj = (
-            parameter(rng.normal(0.0, np.sqrt(2.0 / config.dims), (config.dims, c2)))
-            if "skip" in config.streams else None
-        )
-        self.head = ClassifierHead(
-            len(config.streams) * c2, config.head_hidden, config.num_classes,
-            config.dropout, rng,
-        )
+        self.streams = {name: _build_stream(name, config, norm_adj, rng)
+                        for name in STREAM_NAMES if name in config.streams}
+        self.head = ClassifierHead(len(config.streams) * config.channels[1], config.head_hidden,
+                                   config.num_classes, config.dropout, rng)
 
     # --- forward ---------------------------------------------------------
-
-    def _check_input(self, data: np.ndarray) -> None:
-        c = self.config
-        if data.shape[1:] != (c.dims, c.clip_len, c.joint_count):
-            raise ValueError(
-                f"model: clip shape {data.shape[1:]} does not match configured "
-                f"({c.dims}, {c.clip_len}, {c.joint_count})"
-            )
 
     def stream_features(self, x: Tensor, training: bool = False,
                         rng: np.random.Generator | None = None) -> list[Tensor]:
         """Pooled per-stream feature vectors, in config stream order."""
         masking = self.config.masking if training else None
-        feats = []
-        for name in self.config.streams:
-            if name == "joint":
-                h = x
-                for block in self.joint_blocks:
-                    h = block.forward(h, masking, rng)
-                f = ad.global_avg_pool(h)
-            elif name == "motion":
-                h = compute_motion(x)
-                for block in self.motion_blocks:
-                    h = block.forward(h, masking, rng)
-                f = ad.global_avg_pool(h)
-            else:
-                f = ad.global_avg_pool(ad.pointwise_conv(x, self.skip_proj))
-            feats.append(f)
-        return feats
+        return [self.streams[name].forward(x, masking, rng) for name in self.config.streams]
 
     def forward(self, clip, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -223,26 +220,22 @@ class ThreeStreamModel:
         single = data.ndim == 3
         if single:
             data = data[None]
-        self._check_input(data)
+        c = self.config
+        if data.shape[1:] != (c.dims, c.clip_len, c.joint_count):
+            raise ValueError(
+                f"model: clip shape {data.shape[1:]} does not match configured "
+                f"({c.dims}, {c.clip_len}, {c.joint_count})"
+            )
         x = clip if isinstance(clip, Tensor) and not single else Tensor(data)
         feats = self.stream_features(x, training, rng)
         probs = self.head.forward(ad.concat_channels(feats), training, rng)
-        if single:
-            return Tensor(probs.data[0])
-        return probs
+        return Tensor(probs.data[0]) if single else probs
 
     # --- bookkeeping -----------------------------------------------------
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for i, block in enumerate(self.joint_blocks):
-            out += block.parameters(f"joint.block{i + 1}")
-        for i, block in enumerate(self.motion_blocks):
-            out += block.parameters(f"motion.block{i + 1}")
-        if self.skip_proj is not None:
-            out.append(("skip.proj", self.skip_proj))
-        out += self.head.parameters("head")
-        return out
+        return [p for name, stream in self.streams.items()
+                for p in stream.parameters(name)] + self.head.parameters("head")
 
     def param_tensors(self) -> list[Tensor]:
         return [p for _, p in self.parameters()]
@@ -253,32 +246,23 @@ def count_parameters(model: ThreeStreamModel) -> int:
     return sum(p.size for _, p in model.parameters())
 
 
-def _block_flops(c_in: int, c_out: int, t: int, v: int, kind: str, k_t: int,
-                 has_proj: bool) -> int:
-    embed = t * v * c_in * c_out
-    aggregate = t * v * v * c_out
-    separable, dense = septcn_flops(c_out, c_out, t, v, k_t)
-    tcn = separable if kind == "separable" else dense
-    proj = t * v * c_in * c_out if has_proj else 0
-    return embed + aggregate + tcn + proj
-
-
 def count_flops(model: ThreeStreamModel) -> int:
     """Multiplies in one single-clip forward pass: SGC matmuls, temporal
     convolutions, residual/skip projections, and the head."""
     cfg = model.config
-    dims, t, v = cfg.dims, cfg.clip_len, cfg.joint_count
-    c1, c2 = cfg.channels
+    t, v = cfg.clip_len, cfg.joint_count
     total = 0
-    for name in cfg.streams:
-        if name in ("joint", "motion"):
-            total += _block_flops(dims, c1, t, v, cfg.tcn, cfg.kernel_t, dims != c1)
-            total += _block_flops(c1, c2, t, v, cfg.tcn, cfg.kernel_t, c1 != c2)
-        else:
-            total += t * v * dims * c2
-    total += len(cfg.streams) * c2 * cfg.head_hidden
-    total += cfg.head_hidden * cfg.num_classes
-    return total
+    for stream in model.streams.values():
+        for block in stream.blocks:
+            c_in, c_out = block.in_channels, block.out_channels
+            separable, dense = septcn_flops(c_out, c_out, t, v, cfg.kernel_t)
+            total += t * v * c_in * c_out + t * v * v * c_out  # SGC embed, aggregate
+            total += separable if cfg.tcn == "separable" else dense
+            if block.proj is not None:
+                total += t * v * c_in * c_out
+        if stream.proj is not None:
+            total += t * v * stream.proj.size
+    return total + model.head.fc1.weight.size + model.head.fc2.weight.size
 
 
 # --- persistence ----------------------------------------------------------
@@ -301,6 +285,10 @@ def load_model(path: str | Path) -> ThreeStreamModel:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from exc
     if "adjacency" not in arrays:
         raise CheckpointError(f"{path}: missing adjacency record")
+    for name, array in arrays.items():
+        bad = np.flatnonzero(~np.isfinite(array))
+        if bad.size:
+            raise CheckpointError(f"{path}: record '{name}' is not finite at flat index {bad[0]}")
     try:
         model = ThreeStreamModel(config, arrays.pop("adjacency"))
     except ValueError as exc:

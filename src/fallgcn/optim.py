@@ -31,10 +31,10 @@ def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: SgdSt
         state.velocities = [np.zeros_like(p.data) for p in params]
     if len(state.velocities) != len(params):
         raise ValueError("sgd_step: velocity count does not match parameter count")
-    for p, g, v in zip(params, grads, state.velocities):
+    for i, (p, g, v) in enumerate(zip(params, grads, state.velocities)):
         if p.data.shape != g.shape or v.shape != g.shape:
             raise ValueError(
-                f"sgd_step: shape mismatch for {p.name or 'parameter'}: "
+                f"sgd_step: shape mismatch for parameter {i}: "
                 f"param {p.data.shape}, grad {g.shape}"
             )
         v *= state.momentum

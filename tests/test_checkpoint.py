@@ -73,6 +73,26 @@ def test_rejects_shape_whose_size_wraps_to_zero(tmp_path):
         load_arrays(path)
 
 
+@pytest.mark.parametrize("shape", [(1,) * 65, (0, 2 ** 63), (0, 2 ** 63 - 1)])
+def test_rejects_shape_numpy_cannot_build(tmp_path, shape):
+    # each record has its one data element, or none, so only the shape is wrong
+    path = tmp_path / "x"
+    path.write_bytes(_container(b"", _record_header(b"a", shape) + b"\x00" * 8, count=1))
+    why = rf"record 'a' at byte 29 has a shape numpy cannot build: {len(shape)} dimensions"
+    with pytest.raises(CheckpointError, match=why) as info:
+        load_arrays(path)
+    assert str(shape) in str(info.value)
+
+
+def test_largest_dimension_count_round_trips(tmp_path):
+    path = tmp_path / "x"
+    save_arrays(path, {"a": np.zeros((1,) * 32), "b": np.zeros((0, 2 ** 40))})
+    arrays, _ = load_arrays(path)
+    assert arrays["a"].shape == (1,) * 32 and arrays["b"].shape == (0, 2 ** 40)
+    with pytest.raises(CheckpointError, match="33 dimensions, at most 32"):
+        save_arrays(path, {"a": np.zeros((1,) * 33)})
+
+
 def test_rejects_record_larger_than_file(tmp_path):
     path = tmp_path / "x"
     path.write_bytes(_container(b"", _record_header(b"a", (3,)) + b"\x00" * 16, count=1))

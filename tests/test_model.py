@@ -1,5 +1,7 @@
 """Three-stream model: motion op, forward contract, classifier head,
 parameter/FLOP accounting, and checkpointing."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,39 @@ def test_concurrent_inference_matches_serial(tiny_model):
 # --- persistence -----------------------------------------------------------
 
 
+_BLOCK_RECORDS = ("sgc.weight", "sgc.mask", "tcn.depthwise", "tcn.pointwise", "tcn.bias", "proj")
+_HEAD_RECORDS = ["head.fc1.weight", "head.fc1.bias", "head.ln_gamma", "head.ln_beta",
+                 "head.fc2.weight", "head.fc2.bias"]
+
+
+def _stream_records(*streams: str) -> list[str]:
+    return [f"{s}.block{b}.{r}" for s in streams for b in (1, 2) for r in _BLOCK_RECORDS]
+
+
+@pytest.mark.parametrize("streams, names, sha256, probs", [
+    (("joint", "motion", "skip"),
+     _stream_records("joint", "motion") + ["skip.proj"] + _HEAD_RECORDS,
+     "b82d7a5219759633b534769a74bb9fac9f153ff67230fcb232d31a68b477533f",
+     ["0x1.aaa5b4aac0acep-1", "0x1.55692d54fd4ccp-3"]),
+    (("skip", "motion"),
+     _stream_records("motion") + ["skip.proj"] + _HEAD_RECORDS,
+     "3ae330ba91e179caf5a76faacf4ac882872af5c4339dd5e32f77026ce2390622",
+     ["0x1.c4e18cb6cfc78p-1", "0x1.d8f39a4981c49p-4"]),
+], ids=["default", "skip-motion"])
+def test_stream_plan_pins_names_checkpoint_bytes_and_forward(tmp_path, streams, names,
+                                                           sha256, probs):
+    # weights are drawn and recorded joint, motion, skip, head whatever the
+    # config order; the forward concatenates in config order, so a move of
+    # either changes the checkpoint hash or the output bits
+    model = ThreeStreamModel(tiny_model_config(streams=streams), ring_adjacency(5))
+    assert [name for name, _ in model.parameters()] == names
+    path = tmp_path / "model.fgcn"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    clip = np.random.default_rng(12).normal(size=(2, 8, 5))
+    assert [float(p).hex() for p in model.forward(clip).data] == probs
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path, tiny_model):
     rng = np.random.default_rng(9)
     clip = rng.normal(size=(2, 8, 5))
@@ -314,6 +349,23 @@ def test_checkpoint_rejects_config_mismatch(tmp_path, tiny_model):
     del arrays["head.fc2.bias"]
     save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match="head.fc2.bias"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("record, index, value", [
+    ("head.fc2.bias", 1, np.nan),
+    ("joint.block2.sgc.mask", 7, -np.inf),
+    ("adjacency", 3, np.inf),
+])
+def test_checkpoint_rejects_non_finite_record(tmp_path, tiny_model, record, index, value):
+    from fallgcn.checkpoint import load_arrays, save_arrays
+
+    path = tmp_path / "model.fgcn"
+    save_model(tiny_model, path)
+    arrays, meta = load_arrays(path)
+    arrays[record].reshape(-1)[index] = value
+    save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=f"'{record}' is not finite at flat index {index}"):
         load_model(path)
 
 

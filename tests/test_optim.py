@@ -42,5 +42,7 @@ def test_velocity_shapes_must_match():
     state = SgdState()
     with pytest.raises(ValueError, match="shape"):
         sgd_step([p], [np.ones(3)], state)
+    with pytest.raises(ValueError, match="shape mismatch for parameter 1"):
+        sgd_step([parameter(np.ones(3)), p], [np.ones(3), np.ones(3)], SgdState())
     with pytest.raises(ValueError, match="grads"):
         sgd_step([p], [], SgdState())
