@@ -30,6 +30,24 @@ accumulated by :attr:`Tensor.key`, a process-unique counter, and not by
 ``id()``: a freed tensor's ``id()`` can be reused by a later one, which
 would merge two gradients. A tape is therefore single-use.
 
+The samples of a batch are independent in every kernel but the batch
+reductions, so each per-sample computation is split over the batch:
+the pointwise, depthwise and dense temporal convolutions and the
+spatial aggregation (forward and input gradient, plus the per-sample
+weight-gradient stacks), the frame/joint max pools, add, bias_add,
+scale, relu, and the tape's sum of two [N, C, T, V] gradients. The
+batch is cut into contiguous slices of at least ``_MIN_SLICE_SIZE``
+elements, which up to ``usable CPUs // OpenBLAS threads`` threads, the
+caller and helpers, take in turn and write into one preallocated
+output; every BLAS call and ufunc loop of a sample is the one it would
+be unsplit, so results are bit-identical however the batch was cut.
+With one usable CPU, with OpenBLAS using every CPU, with an unknown
+thread count, for a batch of one (single-clip inference) and for small
+arrays the op is one plain call on the caller's thread. The batch
+reductions (the depthwise kernel gradient, the adjacency gradient, bias
+and weight-gradient sums over N, layer norm) stay on the caller in
+their old order.
+
 Importing the module tunes the C allocator once: it sets
 ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's ceiling) and ``M_TRIM_THRESHOLD``
 to 1 GiB. Every op returns a fresh array of 0.1-10 MB, and glibc would
@@ -40,13 +58,23 @@ stays mapped and is reused. Both are needed: setting either turns off
 glibc's dynamic mmap threshold, so the trim threshold alone leaves
 mid-size arrays to a fresh ``mmap`` each time, which is slower still.
 Arrays over 32 MiB still come from ``mmap`` and go back to the OS when
-freed. This is glibc-only: where ``mallopt`` is missing or a stub
+freed. It also sets ``M_ARENA_MAX`` to 1, so the helper threads'
+temporaries come from the same heap instead of a second arena that
+keeps its own freed memory mapped. In 35 s benchmark runs (2-core Xeon,
+seeds 1 and 2) peak RSS read 201.7-206.8 MB on ``train-desk`` and
+200.8-205.3 MB on ``infer-coco18`` without the cap, 197.1-197.2 and
+191.4-191.8 MB with it, and 195.1-195.2 and 190.1-190.3 MB unsplit.
+This is glibc-only: where ``mallopt`` is missing or a stub
 (macOS, musl) nothing is changed. No arithmetic depends on it.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,11 +87,13 @@ class ShapeError(ValueError):
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_heap_mapped() -> None:
-    """Tell glibc to serve arrays up to 32 MiB from the heap and to keep
-    freed heap mapped; a no-op where ``mallopt`` is missing."""
+    """Tell glibc to serve arrays up to 32 MiB from the heap, to keep
+    freed heap mapped and to keep one arena for all threads; a no-op
+    where ``mallopt`` is missing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -72,9 +102,127 @@ def _keep_freed_heap_mapped() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_heap_mapped()
+
+
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS that numpy loaded uses; None if unknown."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes = ()
+            fn.restype = ctypes.c_int
+            return int(fn())
+    return None
+
+
+def _batch_parts() -> int:
+    """Usable CPUs over BLAS threads: the CPUs that per-sample BLAS calls
+    leave idle. One where either count is unknown."""
+    blas = _blas_threads()
+    if not blas or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // blas)
+
+
+# The most threads that work on one batch; see _split_batch.
+_BATCH_PARTS = _batch_parts()
+# Elements a slice of the batch must cover, 1 MiB of float64: handing
+# work to a helper thread and waiting for it cost 0.2-0.6 ms on a 2-core
+# VM, so an add on [4, 64, 32, 9] ran in 74 us whole and 604 us split,
+# while on [32, 64, 32, 9] it ran in 791 us whole and 676 us split.
+_MIN_SLICE_SIZE = 1 << 17
+_POOL: tuple[int, ThreadPoolExecutor] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """This process's helper threads, started on first use; a forked
+    child starts its own."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            _POOL = (os.getpid(), ThreadPoolExecutor(max(1, _BATCH_PARTS - 1),
+                                                     thread_name_prefix="fallgcn-batch"))
+        return _POOL[1]
+
+
+def _parts(work: np.ndarray) -> int:
+    """Threads that work on the batch axis of ``work``."""
+    return min(work.shape[0], _BATCH_PARTS, work.size // _MIN_SLICE_SIZE)
+
+
+def _split_batch(work: np.ndarray, fn: Callable[[slice], None]) -> None:
+    """Call ``fn(s)`` once for each slice ``s`` of a cut of the batch axis
+    (axis 0) of ``work``, the op's output or upstream gradient.
+
+    ``fn`` writes the samples of ``s`` into an output the caller
+    allocated, so the result does not depend on how the batch was cut or
+    on which thread ran a slice. With :func:`_parts` above one, the batch
+    is cut into ``min(N, work.size // _MIN_SLICE_SIZE)`` slices that the
+    caller and ``_parts - 1`` helper threads take in turn, each helper in
+    a copy of the caller's context (numpy's ``errstate`` is a context
+    variable). A helper that a busy CPU holds back so delays one slice
+    rather than its share of the batch, and one that has not started
+    when the caller runs out of slices is cancelled. A slice that raises
+    does not stop the others: the first exception is raised once every
+    slice has run. ``fn`` must not split a batch itself: a helper thread
+    would wait on its own pool.
+    """
+    n = work.shape[0]
+    parts = _parts(work)
+    if parts <= 1:
+        fn(slice(0, n))
+        return
+    cuts = min(n, work.size // _MIN_SLICE_SIZE)
+    bounds = [n * i // cuts for i in range(cuts + 1)]
+    todo = iter([slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    errors: list[Exception] = []
+
+    def drain() -> None:
+        for s in todo:  # shared by the threads: each next() holds the GIL
+            try:
+                fn(s)
+            except Exception as exc:
+                errors.append(exc)
+
+    pool = _pool()
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(parts - 1)]
+    try:
+        drain()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    for future in futures:
+        if not future.cancelled():
+            future.result()
+    if errors:
+        raise errors[0]
+
+
+def _batched(ufunc: np.ufunc, a: np.ndarray, b, dtype=np.float64) -> np.ndarray:
+    """``ufunc(a, b)``, split over the batch when ``a`` is [N, C, T, V].
+
+    ``b`` broadcasts to ``a``'s shape; it is sliced with ``a`` when it
+    has a batch axis of its own. With one thread this is the plain ufunc
+    call; a split result has ``a``'s memory layout, as numpy's own output
+    would: a later matmul's summation order depends on it.
+    """
+    if a.ndim != 4 or _parts(a) <= 1:
+        return ufunc(a, b)
+    out = np.empty_like(a, dtype=dtype)
+    b_batched = getattr(b, "ndim", 0) == 4 and b.shape[0] != 1
+    _split_batch(out, lambda s: ufunc(a[s], b[s] if b_batched else b, out=out[s]))
+    return out
 
 
 _KEYS = itertools.count()
@@ -185,7 +333,7 @@ class GradTape:
                 if key is None or grad is None:
                     continue
                 prev = accum.get(key)
-                accum[key] = grad if prev is None else prev + grad
+                accum[key] = grad if prev is None else _batched(np.add, prev, grad)
         return [
             np.array(accum[p.key]) if p.key in accum else np.zeros_like(p.data)
             for p in params
@@ -215,7 +363,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (g, g)
 
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(_batched(np.add, a.data, b.data), (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -236,14 +384,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, factor) -> Tensor:
     """Multiply by a non-trainable scalar or array constant."""
     factor = np.asarray(factor, dtype=np.float64)
-    data = x.data * factor
-    if data.shape != x.shape:
+    if factor.ndim > x.ndim or any(f not in (1, d) for f, d in zip(factor.shape[::-1],
+                                                                    x.shape[::-1])):
         raise ShapeError(f"scale: factor shape {factor.shape} does not fit {x.shape}")
 
     def backward(g):
-        return (g * factor,)
+        return (_batched(np.multiply, g, factor),)
 
-    return _make(data, (x,), backward)
+    return _make(_batched(np.multiply, x.data, factor), (x,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -272,16 +420,19 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (g, g.sum(axis=reduce_axes) if b_grad else None)
 
-    return _make(x.data + view, (x, b), backward)
+    return _make(_batched(np.add, x.data, view), (x, b), backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    # only a recorded relu reads its mask
+    mask = None
+    if x.requires_grad and _tape() is not None:
+        mask = _batched(np.greater, x.data, 0.0, dtype=bool)
 
     def backward(g):
-        return (g * mask,)
+        return (_batched(np.multiply, g, mask),)
 
-    return _make(np.maximum(x.data, 0.0), (x,), backward)
+    return _make(_batched(np.maximum, x.data, 0.0), (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -302,20 +453,35 @@ def _check_nctv(name: str, x: Tensor) -> None:
         raise ShapeError(f"{name}: expected a [N,C,T,V] tensor, got shape {x.shape}")
 
 
-def _frame_windows(x: np.ndarray, k_t: int) -> np.ndarray:
-    """Read-only [N, C, k_t, T*V] view of ``x`` [N,C,T,V] zero-padded once.
+def _pad_frames(x: np.ndarray, padded: np.ndarray) -> None:
+    """Write ``x`` [N,C,T,V] into ``padded`` [N,C,T+2r,V], r zero frames
+    on each side."""
+    t = x.shape[2]
+    r = (padded.shape[2] - t) // 2
+    padded[:, :, :r] = 0.0
+    padded[:, :, r + t:] = 0.0
+    padded[:, :, r:r + t] = x
+
+
+def _windows(padded: np.ndarray, k_t: int) -> np.ndarray:
+    """Read-only [N, C, k_t, T*V] view of a ``padded`` [N,C,T+k_t-1,V].
 
     ``windows[n, c, i, t*V + j] = x[n, c, t + i - k_t//2, j]``, zero where
     that frame is out of range: with (frame, joint) flattened, tap i of
     every output position is one slice of the padded input, so the k_t
     taps are strided views of a single buffer.
     """
+    n, c, tp, v = padded.shape
+    t = tp - (k_t - 1)
+    return sliding_window_view(padded.reshape(n, c, tp * v), t * v, axis=2)[:, :, ::v]
+
+
+def _frame_windows(x: np.ndarray, k_t: int) -> np.ndarray:
+    """:func:`_windows` of ``x`` [N,C,T,V] padded into a new buffer."""
     n, c, t, v = x.shape
-    r = k_t // 2
-    padded = np.zeros((n, c, t + 2 * r, v))
-    padded[:, :, r:r + t] = x
-    flat = padded.reshape(n, c, (t + 2 * r) * v)
-    return sliding_window_view(flat, t * v, axis=2)[:, :, ::v]
+    padded = np.empty((n, c, t + k_t - 1, v))
+    _pad_frames(x, padded)
+    return _windows(padded, k_t)
 
 
 def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
@@ -332,24 +498,36 @@ def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     if k_t % 2 != 1:
         raise ShapeError(f"depthwise_tconv: kernel width {k_t} must be odd")
     shape = n, c, t, v = x.shape
-    windows = _frame_windows(x.data, k_t)
-    out = np.einsum("ncit,ci->nct", windows, kernel.data).reshape(shape)
+    x_data, k_data = x.data, kernel.data
+    # one padded buffer for the whole batch: the kernel gradient reads it
+    padded = np.empty((n, c, t + k_t - 1, v))
+    windows = _windows(padded, k_t)
+    out = np.empty((n, c, t * v))
+
+    def forward(s):
+        _pad_frames(x_data[s], padded[s])
+        np.einsum("ncit,ci->nct", windows[s], k_data, out=out[s])
+
+    _split_batch(out, forward)
     # tap i reads frame t+i-r, so frame t gets gradient from output t-i+r:
     # the same windows over g with the taps reversed
-    flipped = kernel.data[:, ::-1] if x.requires_grad else None
+    flipped = k_data[:, ::-1] if x.requires_grad else None
     if not kernel.requires_grad:
         windows = None
 
     def backward(g):
         dx = None
         if flipped is not None:
-            dx = np.einsum("ncit,ci->nct", _frame_windows(g, k_t), flipped).reshape(shape)
+            dx = np.empty((n, c, t * v))
+            _split_batch(dx, lambda s: np.einsum(
+                "ncit,ci->nct", _frame_windows(g[s], k_t), flipped, out=dx[s]))
+            dx = dx.reshape(shape)
         dk = None
         if windows is not None:
             dk = np.einsum("ncit,nct->ci", windows, g.reshape(n, c, t * v))
         return (dx, dk)
 
-    return _make(out, (x, kernel), backward)
+    return _make(out.reshape(shape), (x, kernel), backward)
 
 
 def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
@@ -365,33 +543,41 @@ def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     r = k_t // 2
     shape = n, _, t, v = x.shape
     # im2col: row c*k_t + i of the columns is tap i of input channel c,
-    # which is also the row-major order of the kernel's last two axes
+    # which is also the row-major order of the kernel's last two axes;
+    # each slice builds the columns of its own samples only
     w2 = kernel.data.reshape(c_out, c_in * k_t)
 
-    def columns(x_data: np.ndarray) -> np.ndarray:
-        return _frame_windows(x_data, k_t).reshape(n, c_in * k_t, t * v)
+    def columns(x_part: np.ndarray) -> np.ndarray:
+        return _frame_windows(x_part, k_t).reshape(len(x_part), c_in * k_t, t * v)
 
-    out = np.matmul(w2, columns(x.data)).reshape(n, c_out, t, v)
-    x_data = x.data if kernel.requires_grad else None
+    x_data = x.data
+    out = np.empty((n, c_out, t * v))
+    _split_batch(out, lambda s: np.matmul(w2, columns(x_data[s]), out=out[s]))
+    if not kernel.requires_grad:
+        x_data = None
     if not x.requires_grad:
         w2 = None
 
     def backward(g):
         g3 = g.reshape(n, c_out, t * v)
-        dx = None
-        if w2 is not None:
-            d_cols = np.matmul(w2.T, g3).reshape(n, c_in, k_t, t * v)
-            padded = np.zeros((n, c_in, (t + 2 * r) * v))
-            for i in range(k_t):
-                padded[:, :, i * v:i * v + t * v] += d_cols[:, :, i]
-            dx = padded[:, :, r * v:r * v + t * v].reshape(shape)
-        dk = None
-        if x_data is not None:
-            dk = np.matmul(g3, columns(x_data).transpose(0, 2, 1)).sum(axis=0).reshape(
-                c_out, c_in, k_t)
-        return (dx, dk)
+        dx = np.empty((n, c_in, t * v)) if w2 is not None else None
+        dk = np.empty((n, c_out, c_in * k_t)) if x_data is not None else None
 
-    return _make(out, (x, kernel), backward)
+        def part(s):
+            if dx is not None:
+                d_cols = np.matmul(w2.T, g3[s]).reshape(-1, c_in, k_t, t * v)
+                padded = np.zeros((len(d_cols), c_in, (t + 2 * r) * v))
+                for i in range(k_t):
+                    padded[:, :, i * v:i * v + t * v] += d_cols[:, :, i]
+                dx[s] = padded[:, :, r * v:r * v + t * v]
+            if dk is not None:
+                np.matmul(g3[s], columns(x_data[s]).transpose(0, 2, 1), out=dk[s])
+
+        _split_batch(g3, part)
+        return (dx.reshape(shape) if dx is not None else None,
+                dk.sum(axis=0).reshape(c_out, c_in, k_t) if dk is not None else None)
+
+    return _make(out.reshape(n, c_out, t, v), (x, kernel), backward)
 
 
 def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
@@ -402,19 +588,32 @@ def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
             f"pointwise_conv: weight {weight.shape} does not match input {x.shape}"
         )
     shape = n, c, t, v = x.shape
+    c_out = weight.shape[1]
     x3 = x.data.reshape(n, c, t * v)
-    out = np.matmul(weight.data.T, x3).reshape(n, -1, t, v)
+    w_t = weight.data.T
+    out = np.empty((n, c_out, t * v))
+    _split_batch(out, lambda s: np.matmul(w_t, x3[s], out=out[s]))
     w = weight.data if x.requires_grad else None
     if not weight.requires_grad:
         x3 = None
 
     def backward(g):
-        g3 = g.reshape(n, -1, t * v)
-        dx = np.matmul(w, g3).reshape(shape) if w is not None else None
-        dw = np.matmul(x3, g3.transpose(0, 2, 1)).sum(axis=0) if x3 is not None else None
-        return (dx, dw)
+        g3 = g.reshape(n, c_out, t * v)
+        dx = np.empty((n, c, t * v)) if w is not None else None
+        # per-sample weight gradients, summed over the batch below
+        dw = np.empty((n, c, c_out)) if x3 is not None else None
 
-    return _make(out, (x, weight), backward)
+        def part(s):
+            if dx is not None:
+                np.matmul(w, g3[s], out=dx[s])
+            if dw is not None:
+                np.matmul(x3[s], g3[s].transpose(0, 2, 1), out=dw[s])
+
+        _split_batch(g3, part)
+        return (dx.reshape(shape) if dx is not None else None,
+                dw.sum(axis=0) if dw is not None else None)
+
+    return _make(out.reshape(n, c_out, t, v), (x, weight), backward)
 
 
 def spatial_aggregate(x: Tensor, adj: Tensor) -> Tensor:
@@ -426,16 +625,20 @@ def spatial_aggregate(x: Tensor, adj: Tensor) -> Tensor:
             f"spatial_aggregate: adjacency {adj.shape} does not match joints of {x.shape}"
         )
     shape = x.shape
-    flat = x.data.reshape(-1, v)
-    out = (flat @ adj.data.T).reshape(shape)
+    x_data, adj_t = x.data, adj.data.T
+    out = np.empty(shape)
+    _split_batch(out, lambda s: np.matmul(x_data[s].reshape(-1, v), adj_t,
+                                        out=out[s].reshape(-1, v)))
     adj_data = adj.data if x.requires_grad else None
-    if not adj.requires_grad:
-        flat = None
+    flat = x_data.reshape(-1, v) if adj.requires_grad else None
 
     def backward(g):
-        g_flat = g.reshape(-1, v)
-        dx = (g_flat @ adj_data).reshape(shape) if adj_data is not None else None
-        dadj = g_flat.T @ flat if flat is not None else None
+        dx = None
+        if adj_data is not None:
+            dx = np.empty(shape)
+            _split_batch(dx, lambda s: np.matmul(g[s].reshape(-1, v), adj_data,
+                                                out=dx[s].reshape(-1, v)))
+        dadj = g.reshape(-1, v).T @ flat if flat is not None else None
         return (dx, dadj)
 
     return _make(out, (x, adj), backward)
@@ -447,15 +650,27 @@ def spatial_aggregate(x: Tensor, adj: Tensor) -> Tensor:
 
 def _max_pool_axis(x: Tensor, axis: int, opname: str) -> Tensor:
     _check_nctv(opname, x)
-    idx = x.data.argmax(axis=axis)
-    peak = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
     shape = x.shape
+    data = x.data
+    pooled = shape[:axis] + (1,) + shape[axis + 1:]
+    idx = np.empty(pooled, dtype=np.intp)
+    peak = np.empty(pooled)
+
+    def forward(s):
+        np.argmax(data[s], axis=axis, keepdims=True, out=idx[s])
+        peak[s] = np.take_along_axis(data[s], idx[s], axis=axis)
+
+    _split_batch(data, forward)
     out = np.broadcast_to(peak, shape)  # a view: the peak is stored once
 
     def backward(g):
-        total = g.sum(axis=axis, keepdims=True)
-        dx = np.zeros(shape)
-        np.put_along_axis(dx, np.expand_dims(idx, axis), total, axis=axis)
+        dx = np.empty(shape)
+
+        def part(s):
+            dx[s] = 0.0
+            np.put_along_axis(dx[s], idx[s], g[s].sum(axis=axis, keepdims=True), axis=axis)
+
+        _split_batch(dx, part)
         return (dx,)
 
     return _make(out, (x,), backward)

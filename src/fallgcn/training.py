@@ -19,10 +19,13 @@ from .optim import SgdState, sgd_step
 from .skeleton_io import SkeletonClip
 
 # Clips per evaluation forward. With freed heap kept mapped (see
-# ``autodiff``) no batch size pays page faults, yet smaller batches still
-# run faster: 128 desk clips on a 2-core Xeon with 1 BLAS thread ran at
-# 299-335 clips/s in batches of 8, 271-301 in 16, 262-277 in 32 and
-# 184-206 in one batch of 128. The recorded benchmark figures use 16.
+# ``autodiff``) no batch size pays page faults. 128 desk clips on a 2-core
+# Xeon with 1 BLAS thread, where ``autodiff`` splits each batch over both
+# cores, ran at 230-234 clips/s in batches of 8, 263-266 in 16, 276-277 in
+# 32 and 296-309 in one batch of 128 (medians of 5, two rounds); unsplit,
+# on the same host, at 210-240, 197-206, 182-209 and 160-173. Larger
+# batches now run faster but hold more activations at once; the recorded
+# benchmark figures, peak memory included, use 16.
 EVAL_BATCH = 16
 
 
