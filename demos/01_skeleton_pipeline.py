@@ -11,12 +11,10 @@ import numpy as np
 
 from fallgcn import (
     builtin_layout,
-    drop_invalid_frames,
+    clips_from_sequences,
     load_sequences,
-    normalize_clip,
     read_manifest,
     split_dataset,
-    window_sequence,
     write_manifest,
     write_sequences,
 )
@@ -44,14 +42,10 @@ manifest = read_manifest(manifest_file, layout.name)
 loaded = load_sequences(manifest, layout)
 print(f"loaded {len(loaded)} sequences, classes = {manifest.class_names}")
 
-# 3. Filter failed frames, window into fixed-length clips, normalize.
-clips = []
-dropped_total = 0
-for seq in loaded:
-    kept = drop_invalid_frames(seq)
-    dropped_total += len(seq) - len(kept)
-    for clip in window_sequence(kept, clip_len=32, stride=16):
-        clips.append(normalize_clip(clip, layout))
+# 3. Filter failed frames, window into fixed-length clips, normalize:
+#    the same recipe `fallgcn ingest` runs.
+clips = clips_from_sequences(loaded, layout, clip_len=32, stride=16)
+dropped_total = sum(int((~seq.valid).sum()) for seq in loaded)
 print(f"dropped {dropped_total} invalid frames, produced {len(clips)} clips "
       f"of shape {clips[0].data.shape}  # [dims, T, joints]")
 

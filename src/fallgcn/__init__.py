@@ -33,6 +33,7 @@ from .skeleton_io import (
     DatasetManifest,
     SkeletonClip,
     SkeletonSequence,
+    clips_from_sequences,
     drop_invalid_frames,
     load_sequences,
     normalize_clip,

@@ -14,6 +14,14 @@ dense temporal convolution into a single stacked (im2col) matrix
 product. No
 op transposes its input to another layout and back.
 
+Every convolution's input gradient is its own forward run on the
+upstream gradient ``g``, with the weight transposed and the taps
+flipped: ``pointwise_conv`` multiplies ``g`` by W where the forward
+multiplies by Wᵀ, ``spatial_aggregate`` by A where it used Aᵀ, and both
+temporal convolutions slide their tap windows over ``g`` with the kernel
+reversed along k_t (``dense_tconv`` also swaps C_out and C_in). So no
+backward scatters columns back into frames.
+
 Every op runs eagerly on numpy arrays. While a :class:`GradTape` is
 active, ops whose inputs require gradients append a record; the
 backward pass replays the records in exact reverse execution order and
@@ -540,36 +548,35 @@ def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     c_out, c_in, k_t = kernel.shape
     if k_t % 2 != 1:
         raise ShapeError(f"dense_tconv: kernel width {k_t} must be odd")
-    r = k_t // 2
     shape = n, _, t, v = x.shape
-    # im2col: row c*k_t + i of the columns is tap i of input channel c,
-    # which is also the row-major order of the kernel's last two axes;
-    # each slice builds the columns of its own samples only
+    # im2col: row c*k_t + i of the columns is tap i of channel c, which is
+    # also the row-major order of the kernel's last two axes; each slice
+    # builds the columns of its own samples only
     w2 = kernel.data.reshape(c_out, c_in * k_t)
 
-    def columns(x_part: np.ndarray) -> np.ndarray:
-        return _frame_windows(x_part, k_t).reshape(len(x_part), c_in * k_t, t * v)
+    def columns(part: np.ndarray) -> np.ndarray:
+        return _frame_windows(part, k_t).reshape(len(part), -1, t * v)
 
     x_data = x.data
     out = np.empty((n, c_out, t * v))
     _split_batch(out, lambda s: np.matmul(w2, columns(x_data[s]), out=out[s]))
     if not kernel.requires_grad:
         x_data = None
-    if not x.requires_grad:
-        w2 = None
+    k_data = kernel.data if x.requires_grad else None
 
     def backward(g):
         g3 = g.reshape(n, c_out, t * v)
-        dx = np.empty((n, c_in, t * v)) if w2 is not None else None
-        dk = np.empty((n, c_out, c_in * k_t)) if x_data is not None else None
+        dx = dk = None
+        if k_data is not None:
+            # this forward on g, with the kernel [C_in, C_out, k_t] taps reversed
+            w2_flip = k_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k_t)
+            dx = np.empty((n, c_in, t * v))
+        if x_data is not None:
+            dk = np.empty((n, c_out, c_in * k_t))
 
         def part(s):
             if dx is not None:
-                d_cols = np.matmul(w2.T, g3[s]).reshape(-1, c_in, k_t, t * v)
-                padded = np.zeros((len(d_cols), c_in, (t + 2 * r) * v))
-                for i in range(k_t):
-                    padded[:, :, i * v:i * v + t * v] += d_cols[:, :, i]
-                dx[s] = padded[:, :, r * v:r * v + t * v]
+                np.matmul(w2_flip, columns(g[s]), out=dx[s])
             if dk is not None:
                 np.matmul(g3[s], columns(x_data[s]).transpose(0, 2, 1), out=dk[s])
 

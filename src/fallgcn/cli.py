@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .benchmark import benchmark_pair, welch_t_test
-from .config import ConfigError, apply_seed_override, load_run_config
+from .config import ConfigError, apply_seed_override, archive_fields, load_run_config
 from .graph import normalized_adjacency
 from .layers import (
     DenseTcnLayer,
@@ -38,14 +38,12 @@ from .model import (
     save_model,
 )
 from .skeleton_io import (
-    drop_invalid_frames,
+    clips_from_sequences,
     load_clip_archive,
     load_sequences,
-    normalize_clip,
     read_manifest,
     save_clip_archive,
     split_dataset,
-    window_sequence,
 )
 from .training import Hyperparams, evaluate, train, write_history
 
@@ -73,20 +71,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     manifest = read_manifest(manifest_path, layout.name)
     sequences = load_sequences(manifest, layout)
-    clips = []
-    kept_clips: dict[str, int] = {name: 0 for name in manifest.class_names}
-    dropped: dict[str, int] = {name: 0 for name in manifest.class_names}
-    for seq in sequences:
-        name = manifest.class_names[seq.label]
-        filtered = drop_invalid_frames(seq)
-        dropped[name] += len(seq) - len(filtered)
-        for clip in window_sequence(filtered, clip_len, stride):
-            clips.append(normalize_clip(clip, layout))
-            kept_clips[name] += 1
+    clips = clips_from_sequences(sequences, layout, clip_len, stride)
     save_clip_archive(out_path, clips, manifest.class_names, layout, stride=stride)
     print(f"wrote {len(clips)} clips to {out_path} (clip_len={clip_len}, stride={stride})")
-    for name in manifest.class_names:
-        print(f"  {name}: {kept_clips[name]} clips, {dropped[name]} invalid frames dropped")
+    for label, name in enumerate(manifest.class_names):
+        n_clips = sum(clip.label == label for clip in clips)
+        dropped = sum(int((~seq.valid).sum()) for seq in sequences if seq.label == label)
+        print(f"  {name}: {n_clips} clips, {dropped} invalid frames dropped")
     return 0
 
 
@@ -107,11 +98,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_clips, val_clips = split_dataset(
         clips, cfg["data"]["train_fraction"], cfg["data"]["split_seed"]
     )
-    model_cfg = ModelConfig(
-        **cfg["model"], masking=masking,
-        dims=meta["dims"], clip_len=meta["clip_len"], joint_count=layout.joint_count,
-        num_classes=len(class_names), layout_name=layout.name,
-    )
+    model_cfg = ModelConfig(**cfg["model"], masking=masking,
+                            **archive_fields(class_names, layout, meta))
     model = ThreeStreamModel(model_cfg, normalized_adjacency(layout))
     history = train(model, train_clips, val_clips, hp)
     ckpt_path = args.out or cfg["out"]["checkpoint"]
@@ -134,18 +122,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     model = load_model(args.checkpoint)
     clips, class_names, layout, meta = load_clip_archive(args.archive)
-    mc = model.config
-    problems = []
-    if mc.joint_count != layout.joint_count:
-        problems.append(f"joint count {mc.joint_count} vs archive {layout.joint_count}")
-    if mc.layout_name != layout.name:
-        problems.append(f"layout '{mc.layout_name}' vs archive '{layout.name}'")
-    if mc.dims != meta["dims"]:
-        problems.append(f"dims {mc.dims} vs archive {meta['dims']}")
-    if mc.clip_len != meta["clip_len"]:
-        problems.append(f"clip_len {mc.clip_len} vs archive {meta['clip_len']}")
-    if mc.num_classes != len(class_names):
-        problems.append(f"{mc.num_classes} classes vs archive {len(class_names)}")
+    problems = [
+        f"{name} {getattr(model.config, name)!r} vs archive {value!r}"
+        for name, value in archive_fields(class_names, layout, meta).items()
+        if getattr(model.config, name) != value
+    ]
     if problems:
         return _fail("eval: checkpoint does not match archive: " + "; ".join(problems))
     cm = evaluate(model, clips, class_names=class_names)
@@ -154,7 +135,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     payload = {
         "class_names": class_names,
         "confusion": cm.counts.tolist(),
-        "report": json.loads(format_report(report, "machine")),
+        "report": report.as_dict(),
     }
     Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(format_report(report, args.format))
@@ -223,33 +204,17 @@ def _gradcheck_modules(seed: int) -> list[tuple[str, float]]:
     ring = ring_layout(v)
     norm_adj = normalized_adjacency(ring)
     x = Tensor(rng.normal(0.0, 1.0, (2, dims, t, v)))
-    results = []
-
+    # built in this order so that each layer's initial weights stay the same
     sgc = SgcLayer(dims, 4, norm_adj, rng)
-    results.append((
-        "sgc",
-        grad_check(lambda: ad.sum_all(sgc.forward(x)),
-                   [p for _, p in sgc.parameters("sgc")]),
-    ))
     xc = Tensor(rng.normal(0.0, 1.0, (2, 4, t, v)))
-    septcn = SepTcnLayer(4, 4, rng)
-    results.append((
-        "sep_tcn",
-        grad_check(lambda: ad.sum_all(septcn.forward(xc)),
-                   [p for _, p in septcn.parameters("tcn")]),
-    ))
-    dense = DenseTcnLayer(4, 4, rng)
-    results.append((
-        "dense_tcn",
-        grad_check(lambda: ad.sum_all(dense.forward(xc)),
-                   [p for _, p in dense.parameters("tcn")]),
-    ))
-    block = GstcnBlock(dims, 4, norm_adj, rng)
-    results.append((
-        "gstcn_block",
-        grad_check(lambda: ad.sum_all(block.forward(x)),
-                   [p for _, p in block.parameters("block")]),
-    ))
+    layers = [("sgc", sgc, x), ("sep_tcn", SepTcnLayer(4, 4, rng), xc),
+              ("dense_tcn", DenseTcnLayer(4, 4, rng), xc),
+              ("gstcn_block", GstcnBlock(dims, 4, norm_adj, rng), x)]
+    results = [
+        (name, grad_check(lambda: ad.sum_all(layer.forward(inp)),
+                          [p for _, p in layer.parameters(name)]))
+        for name, layer, inp in layers
+    ]
     feats = Tensor(rng.normal(0.0, 1.0, (3, 6)))
     head = ClassifierHead(6, 8, 2, dropout_rate=0.0, rng=rng)
     labels = np.array([0, 1, 0])

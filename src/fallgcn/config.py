@@ -12,14 +12,26 @@ import json
 from pathlib import Path
 
 from .layers import MaskingConfig
+from .layouts import JointLayout
 from .model import ModelConfig
 from .training import Hyperparams
 
-# ModelConfig fields that ``train`` reads from the clip archive, plus the
-# masking settings, which have their own section.
-_NOT_IN_MODEL_SECTION = frozenset(
-    {"dims", "clip_len", "joint_count", "num_classes", "layout_name", "masking"}
-)
+# The ModelConfig fields a clip archive fixes, each read off the
+# ``(class_names, layout, meta)`` that ``load_clip_archive`` returns:
+# ``train`` builds the model from them, ``eval`` checks a checkpoint
+# against them, and the model section has no key for them.
+ARCHIVE_FIELDS = {
+    "dims": lambda class_names, layout, meta: meta["dims"],
+    "clip_len": lambda class_names, layout, meta: meta["clip_len"],
+    "joint_count": lambda class_names, layout, meta: layout.joint_count,
+    "num_classes": lambda class_names, layout, meta: len(class_names),
+    "layout_name": lambda class_names, layout, meta: layout.name,
+}
+
+
+def archive_fields(class_names: list[str], layout: JointLayout, meta: dict) -> dict:
+    """:data:`ARCHIVE_FIELDS` evaluated on one clip archive."""
+    return {name: read(class_names, layout, meta) for name, read in ARCHIVE_FIELDS.items()}
 
 
 def _section(defaults, skip: frozenset = frozenset()) -> dict:
@@ -41,7 +53,8 @@ DEFAULTS: dict = {
         "train_fraction": 0.9,
         "split_seed": 7,
     },
-    "model": _section(ModelConfig(), skip=_NOT_IN_MODEL_SECTION),
+    # masking settings have a section of their own
+    "model": _section(ModelConfig(), skip=frozenset(ARCHIVE_FIELDS) | {"masking"}),
     "masking": _section(MaskingConfig()),
     "train": _section(Hyperparams()),
     "out": {

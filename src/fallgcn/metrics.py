@@ -50,6 +50,28 @@ class MetricsReport:
     macro_sensitivity: float | None
     macro_f1: float | None
 
+    def as_dict(self) -> dict:
+        """The report as JSON-ready data; ``format_report(..., "machine")``
+        prints this."""
+        return {
+            "accuracy": self.accuracy,
+            "macro": {
+                "precision": self.macro_precision,
+                "sensitivity": self.macro_sensitivity,
+                "f1": self.macro_f1,
+            },
+            "classes": [
+                {
+                    "label": c.name,
+                    "precision": c.precision,
+                    "sensitivity": c.sensitivity,
+                    "f1": c.f1,
+                    "support": c.support,
+                }
+                for c in self.per_class
+            ],
+        }
+
 
 def _percent(num: float, den: float) -> float | None:
     return None if den == 0 else 100.0 * num / den
@@ -112,25 +134,7 @@ def format_report(report: MetricsReport, fmt: str = "text") -> str:
     (Accuracy / Precision / Sensitivity / F1, percent, 2 decimals),
     'machine' emits JSON."""
     if fmt == "machine":
-        payload = {
-            "accuracy": report.accuracy,
-            "macro": {
-                "precision": report.macro_precision,
-                "sensitivity": report.macro_sensitivity,
-                "f1": report.macro_f1,
-            },
-            "classes": [
-                {
-                    "label": c.name,
-                    "precision": c.precision,
-                    "sensitivity": c.sensitivity,
-                    "f1": c.f1,
-                    "support": c.support,
-                }
-                for c in report.per_class
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(report.as_dict(), indent=2, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"format_report: unknown format {fmt!r}")
     width = max([len("Average")] + [len(c.name) for c in report.per_class]) + 2

@@ -17,16 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from .layouts import JointLayout, builtin_layout
-from .skeleton_io import (
-    SkeletonClip,
-    SkeletonSequence,
-    drop_invalid_frames,
-    normalize_clip,
-    split_dataset,
-    window_sequence,
-)
+from .skeleton_io import SkeletonClip, SkeletonSequence, clips_from_sequences, split_dataset
 
 CLASS_NAMES = ["fall", "walk"]
+# standard deviation of the per-joint coordinate jitter
+_NOISE = 0.02
+# make_dataset: sequence lengths span one stride, so each gives one clip
+_STRIDE = 32
+_TRAIN_FRACTION = 0.8
 
 # standing pose for stick9: head, neck, l_hand, r_hand, pelvis, l_knee,
 # r_knee, l_foot, r_foot
@@ -58,7 +56,6 @@ _GAIT = np.array([
 
 def generate_sequences(n_per_class: int, seed: int,
                        length_range: tuple[int, int] = (32, 48),
-                       noise: float = 0.02,
                        invalid_rate: float = 0.0,
                        layout: JointLayout | None = None) -> list[SkeletonSequence]:
     """Labeled sequences, ``n_per_class`` of each class, fall first."""
@@ -76,7 +73,7 @@ def generate_sequences(n_per_class: int, seed: int,
             if name == "fall":
                 drop = rng.uniform(0.5, 0.8)
                 descent = drop * t / max(length - 1, 1)
-                jitter = rng.normal(0.0, noise, frames_xy.shape)
+                jitter = rng.normal(0.0, _NOISE, frames_xy.shape)
                 jitter[:, root, :] = 0.0  # keep the root descent exactly monotonic
                 frames_xy = frames_xy + jitter
                 frames_xy[:, root, 1] -= descent
@@ -88,7 +85,7 @@ def generate_sequences(n_per_class: int, seed: int,
                 frames_xy = frames_xy + np.stack(
                     [swing * _GAIT[None, :, 0], swing * _GAIT[None, :, 1]], axis=2
                 )
-                frames_xy = frames_xy + rng.normal(0.0, noise, frames_xy.shape)
+                frames_xy = frames_xy + rng.normal(0.0, _NOISE, frames_xy.shape)
             frames_xy = frames_xy * scale + offset
             valid = rng.random(length) >= invalid_rate
             valid[-1] = True  # keep a valid pad source for short sequences
@@ -97,22 +94,15 @@ def generate_sequences(n_per_class: int, seed: int,
     return sequences
 
 
-def make_dataset(n_per_class: int = 250, seed: int = 0, clip_len: int = 32,
-                 stride: int = 32, train_fraction: float = 0.8,
-                 noise: float = 0.02,
-                 invalid_rate: float = 0.0) -> tuple[list[SkeletonClip], list[SkeletonClip]]:
-    """Full pipeline: generate, filter, window, normalize, split.
+def make_dataset(n_per_class: int = 250, seed: int = 0,
+                 clip_len: int = 32) -> tuple[list[SkeletonClip], list[SkeletonClip]]:
+    """Full pipeline: generate, ingest (filter, window, normalize), split.
 
     Defaults produce 250 sequences per class, one clip each, split
     400 train / 100 test.
     """
     layout = builtin_layout("stick9")
     sequences = generate_sequences(
-        n_per_class, seed, length_range=(clip_len, clip_len + stride - 1),
-        noise=noise, invalid_rate=invalid_rate, layout=layout,
-    )
-    clips = []
-    for seq in sequences:
-        for clip in window_sequence(drop_invalid_frames(seq), clip_len, stride):
-            clips.append(normalize_clip(clip, layout))
-    return split_dataset(clips, train_fraction, seed)
+        n_per_class, seed, length_range=(clip_len, clip_len + _STRIDE - 1), layout=layout)
+    return split_dataset(clips_from_sequences(sequences, layout, clip_len, _STRIDE),
+                         _TRAIN_FRACTION, seed)

@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from fallgcn.cli import main
-from fallgcn.config import ConfigError, load_run_config
+from fallgcn.config import ARCHIVE_FIELDS, ConfigError, load_run_config
 from fallgcn.layers import MaskingConfig
+from fallgcn.layouts import builtin_layout
 from fallgcn.metrics import format_report, metrics
 from fallgcn.model import ModelConfig, load_model
 from fallgcn.skeleton_io import (
     ManifestEntry,
+    SkeletonClip,
     load_clip_archive,
+    save_clip_archive,
     write_manifest,
     write_sequences,
 )
@@ -206,23 +209,36 @@ def test_eval_constant_predictor_balanced_50(workspace, tmp_path, capsys):
     assert "50.00" in out.splitlines()[-2]  # the Average row
 
 
-def test_eval_mismatched_archive_fails(workspace, tmp_path, capsys):
-    # re-ingest with a different clip length -> named mismatch error
-    cfg = json.loads((workspace / "run.json").read_text())
-    cfg["data"]["clip_len"] = 8
-    cfg["data"]["stride"] = 8
-    cfg["out"]["archive"] = str(tmp_path / "short.fgcn")
-    cfg_path = tmp_path / "short.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["ingest", "--config", str(cfg_path)]) == 0
-    capsys.readouterr()
+STICK9 = builtin_layout("stick9")
+# archives that differ from the workspace's (2-D, 16 frames, stick9,
+# fall/walk) in exactly one ModelConfig field: clip shape, classes, layout
+MISMATCHED_ARCHIVES = {
+    "dims": ((3, 16, 9), CLASS_NAMES, STICK9),
+    "clip_len": ((2, 8, 9), CLASS_NAMES, STICK9),
+    "joint_count": ((2, 16, 10), CLASS_NAMES,
+                    dataclasses.replace(STICK9, joint_count=10,
+                                        edges=STICK9.edges + ((8, 9),))),
+    "layout_name": ((2, 16, 9), CLASS_NAMES, dataclasses.replace(STICK9, name="stick9b")),
+    "num_classes": ((2, 16, 9), CLASS_NAMES + ["sit"], STICK9),
+}
+
+
+@pytest.mark.parametrize("field", MISMATCHED_ARCHIVES)
+def test_eval_mismatched_archive_fails(workspace, tmp_path, capsys, field):
+    shape, class_names, layout = MISMATCHED_ARCHIVES[field]
+    archive = tmp_path / "other.fgcn"
+    rng = np.random.default_rng(0)
+    clips = [SkeletonClip(data=rng.normal(size=shape), label=k % 2) for k in range(4)]
+    save_clip_archive(archive, clips, class_names, layout)
     code = main([
         "eval", "--config", str(workspace / "run.json"),
         "--checkpoint", str(workspace / "model.fgcn"),
-        "--archive", str(tmp_path / "short.fgcn"),
+        "--archive", str(archive), "--out", str(tmp_path / "never.json"),
     ])
     assert code != 0
-    assert "clip_len" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert [name for name in ARCHIVE_FIELDS if name in err] == [field]
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_report_rerenders_saved_metrics(workspace, capsys):
@@ -267,9 +283,8 @@ def test_unknown_config_key_named(tmp_path, capsys):
 
 def test_defaults_come_from_the_dataclasses():
     cfg = load_run_config(None)
-    from_archive = {"dims", "clip_len", "joint_count", "num_classes", "layout_name"}
     model_fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    assert set(cfg["model"]) == model_fields - from_archive - {"masking"}
+    assert set(cfg["model"]) == model_fields - set(ARCHIVE_FIELDS) - {"masking"}
     assert ModelConfig(**cfg["model"]) == ModelConfig()
     assert cfg["masking"] == dataclasses.asdict(MaskingConfig())
     assert cfg["train"] == dataclasses.asdict(Hyperparams())
