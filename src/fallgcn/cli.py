@@ -1,8 +1,10 @@
 """Command-line harness: ingest, train, eval, bench, gradcheck, report.
 
-Every command takes ``--config`` (JSON run configuration, see
-``fallgcn.config.DEFAULTS`` for the keys), with flags overriding file
-values. ``--seed`` re-seeds all run randomness; ``--format`` switches
+Each command takes only the flags it reads. ``--config`` (ingest, train,
+eval) names a JSON run configuration, see ``fallgcn.config.DEFAULTS`` for
+the keys, with flags overriding file values. ``--seed`` (train,
+gradcheck) re-seeds all run randomness; ``--out`` (ingest, train, eval)
+overrides the output path; ``--format`` (eval, bench, report) switches
 between human-readable text and machine-readable JSON.
 """
 from __future__ import annotations
@@ -160,7 +162,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    load_run_config(args.config)  # validate keys even though bench needs no settings
     model = load_model(args.checkpoint)
     other_cfg = dataclasses.replace(
         model.config,
@@ -210,18 +211,14 @@ def _gradcheck_modules(seed: int) -> list[tuple[str, float]]:
     layers = [("sgc", sgc, x), ("sep_tcn", SepTcnLayer(4, 4, rng), xc),
               ("dense_tcn", DenseTcnLayer(4, 4, rng), xc),
               ("gstcn_block", GstcnBlock(dims, 4, norm_adj, rng), x)]
-    results = [
-        (name, grad_check(lambda: ad.sum_all(layer.forward(inp)),
-                          [p for _, p in layer.parameters(name)]))
-        for name, layer, inp in layers
-    ]
+    results = [(name, grad_check(lambda: ad.sum_all(layer.forward(inp)), layer.param_tensors()))
+               for name, layer, inp in layers]
     feats = Tensor(rng.normal(0.0, 1.0, (3, 6)))
     head = ClassifierHead(6, 8, 2, dropout_rate=0.0, rng=rng)
     labels = np.array([0, 1, 0])
     results.append((
         "classifier_head",
-        grad_check(lambda: ad.cross_entropy(head.forward(feats), labels),
-                   [p for _, p in head.parameters("head")]),
+        grad_check(lambda: ad.cross_entropy(head.forward(feats), labels), head.param_tensors()),
     ))
     tiny = ModelConfig(
         dims=dims, clip_len=t, joint_count=v, num_classes=2, channels=(8, 16),
@@ -242,7 +239,6 @@ def _gradcheck_modules(seed: int) -> list[tuple[str, float]]:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    load_run_config(args.config)
     seed = args.seed if args.seed is not None else 0
     failed = False
     for name, err in _gradcheck_modules(seed):
@@ -266,45 +262,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt: bool = False) -> None:
-        p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument("--seed", type=int, help="override all run seeds")
-        p.add_argument("--out", help="override the command's output path")
-        if fmt:
-            p.add_argument("--format", choices=("text", "machine"), default="text")
+    shared = {
+        "config": dict(help="JSON run configuration file"),
+        "seed": dict(type=int, help="override all run seeds"),
+        "out": dict(help="override the command's output path"),
+        "format": dict(choices=("text", "machine"), default="text"),
+    }
 
-    p = sub.add_parser("ingest", help="manifest -> filtered, windowed, normalized clips")
-    common(p)
+    def command(name: str, func, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", cmd_ingest, "manifest -> filtered, windowed, normalized clips",
+                "config", "out")
     p.add_argument("--manifest", help="CSV manifest (path,label,id)")
     p.add_argument("--layout", help="builtin layout name or .layout file")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train on an ingested clip archive")
-    common(p)
+    p = command("train", cmd_train, "train on an ingested clip archive", "config", "seed", "out")
     p.add_argument("--archive", help="clip archive from ingest")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a clip archive")
-    common(p, fmt=True)
+    p = command("eval", cmd_eval, "evaluate a checkpoint on a clip archive",
+                "config", "out", "format")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--archive", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="latency of separable vs dense variants")
-    common(p, fmt=True)
+    p = command("bench", cmd_bench, "latency of separable vs dense variants", "format")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--warmup", type=int, default=10)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every module")
-    common(p)
-    p.set_defaults(func=cmd_gradcheck)
+    command("gradcheck", cmd_gradcheck, "finite-difference check of every module", "seed")
 
-    p = sub.add_parser("report", help="re-render a saved metrics file")
-    common(p, fmt=True)
+    p = command("report", cmd_report, "re-render a saved metrics file", "format")
     p.add_argument("--metrics", required=True, help="JSON report from eval")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -34,15 +34,6 @@ def archive_fields(class_names: list[str], layout: JointLayout, meta: dict) -> d
     return {name: read(class_names, layout, meta) for name, read in ARCHIVE_FIELDS.items()}
 
 
-def _section(defaults, skip: frozenset = frozenset()) -> dict:
-    """A dataclass instance's fields as a JSON-shaped config section."""
-    return {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in dataclasses.asdict(defaults).items()
-        if key not in skip
-    }
-
-
 DEFAULTS: dict = {
     "data": {
         "layout": "coco18",
@@ -54,9 +45,10 @@ DEFAULTS: dict = {
         "split_seed": 7,
     },
     # masking settings have a section of their own
-    "model": _section(ModelConfig(), skip=frozenset(ARCHIVE_FIELDS) | {"masking"}),
-    "masking": _section(MaskingConfig()),
-    "train": _section(Hyperparams()),
+    "model": {key: value for key, value in ModelConfig().to_dict().items()
+              if key not in ARCHIVE_FIELDS and key != "masking"},
+    "masking": dataclasses.asdict(MaskingConfig()),
+    "train": dataclasses.asdict(Hyperparams()),
     "out": {
         "checkpoint": "model.fgcn",
         "history": "history.csv",

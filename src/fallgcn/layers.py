@@ -3,7 +3,8 @@ adjacency mask, separable and dense temporal convolutions, the combined
 GSTCN block with its residual paths, and joint/frame masking.
 
 All layer forwards take and return [N, C, T, V] tensors; frame count T
-and joint count V are preserved everywhere.
+and joint count V are preserved everywhere. Every module derives from
+:class:`Layer`, which names its parameters from its attributes.
 """
 from __future__ import annotations
 
@@ -16,7 +17,32 @@ from . import autodiff as ad
 from .autodiff import Tensor, parameter
 
 
-class Linear:
+class Layer:
+    """A module whose trainable tensors are found by walking its attributes.
+
+    ``parameters`` visits ``vars(self)`` in the order the attributes were
+    set: a tensor with ``requires_grad`` is listed as ``prefix.attr``, a
+    held :class:`Layer` adds its own under ``prefix.attr``, and a held dict
+    adds each entry under its key alone. The names are the checkpoint
+    record names, so setting a tensor is all it takes to train and save it.
+    """
+
+    def parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        out = []
+        for attr, value in vars(self).items():
+            for name, child in value.items() if isinstance(value, dict) else [(attr, value)]:
+                name = f"{prefix}.{name}" if prefix else name
+                if isinstance(child, Layer):
+                    out += child.parameters(name)
+                elif isinstance(child, Tensor) and child.requires_grad:
+                    out.append((name, child))
+        return out
+
+    def param_tensors(self) -> list[Tensor]:
+        return [p for _, p in self.parameters()]
+
+
+class Linear(Layer):
     """Fully connected layer on [N, F] features: y = x @ weight + bias."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
@@ -27,11 +53,8 @@ class Linear:
     def forward(self, x: Tensor) -> Tensor:
         return ad.bias_add(ad.matmul(x, self.weight), self.bias)
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
-
-class SgcLayer:
+class SgcLayer(Layer):
     """Spatial graph convolution with a trainable multiplicative mask.
 
     Channels are first embedded with a weight shared across each joint's
@@ -54,11 +77,8 @@ class SgcLayer:
         effective = ad.mul(self.adjacency, self.mask)
         return ad.spatial_aggregate(ad.pointwise_conv(x, self.weight), effective)
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.mask", self.mask)]
 
-
-class SepTcnLayer:
+class SepTcnLayer(Layer):
     """Separable temporal convolution: depthwise k_t x 1 then pointwise 1x1.
 
     The depthwise stage never mixes channels; the pointwise stage never
@@ -80,15 +100,8 @@ class SepTcnLayer:
         h = ad.depthwise_tconv(x, self.depthwise)
         return ad.bias_add(ad.pointwise_conv(h, self.pointwise), self.bias)
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.depthwise", self.depthwise),
-            (f"{prefix}.pointwise", self.pointwise),
-            (f"{prefix}.bias", self.bias),
-        ]
 
-
-class DenseTcnLayer:
+class DenseTcnLayer(Layer):
     """Unfactored k_t x 1 temporal convolution, the efficiency baseline."""
 
     def __init__(self, in_channels: int, out_channels: int,
@@ -101,9 +114,6 @@ class DenseTcnLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.bias_add(ad.dense_tconv(x, self.kernel), self.bias)
-
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.kernel", self.kernel), (f"{prefix}.bias", self.bias)]
 
 
 def septcn_flops(c_in: int, c_out: int, t: int, v: int, k_t: int) -> tuple[int, int]:
@@ -121,6 +131,16 @@ def septcn_flops(c_in: int, c_out: int, t: int, v: int, k_t: int) -> tuple[int, 
     return separable, dense
 
 
+def is_int(value) -> bool:
+    """An integer setting; ``True`` and ``False`` are refused."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real-number setting; ``True`` and ``False`` are refused."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class MaskingConfig:
     """Training-time random zeroing of whole joints and whole frames."""
@@ -130,7 +150,7 @@ class MaskingConfig:
 
     def __post_init__(self) -> None:
         for name, p in (("p_joint", self.p_joint), ("p_frame", self.p_frame)):
-            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            if not is_real(p) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"MaskingConfig: {name} must be a number in [0, 1], got {p!r}")
 
 
@@ -155,7 +175,7 @@ def apply_masking(x: Tensor, cfg: MaskingConfig,
     return ad.scale(x, keep)
 
 
-class GstcnBlock:
+class GstcnBlock(Layer):
     """One SGC + temporal-convolution stage with residual emphasis paths.
 
         y = ReLU( TCN(SGC(mask(x))) + proj(x) + tpool(proj(x)) )
@@ -192,9 +212,3 @@ class GstcnBlock:
         h = self.tcn.forward(self.sgc.forward(h))
         res = x if self.proj is None else ad.pointwise_conv(x, self.proj)
         return ad.relu(ad.add(ad.add(h, res), ad.max_pool_frames(res)))
-
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = self.sgc.parameters(f"{prefix}.sgc") + self.tcn.parameters(f"{prefix}.tcn")
-        if self.proj is not None:
-            out.append((f"{prefix}.proj", self.proj))
-        return out

@@ -4,7 +4,6 @@ pooling and concatenation, followed by the classification head.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -13,13 +12,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, parameter
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .layers import GstcnBlock, Linear, MaskingConfig, septcn_flops
+from .layers import GstcnBlock, Layer, Linear, MaskingConfig, is_int, is_real, septcn_flops
 
 STREAM_NAMES = ("joint", "motion", "skip")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -54,7 +49,7 @@ class ModelConfig:
             raise ValueError(
                 f"ModelConfig: streams must be a non-empty subset of {STREAM_NAMES}"
             )
-        if not _is_int(self.dims) or self.dims not in (2, 3):
+        if not is_int(self.dims) or self.dims not in (2, 3):
             raise ValueError(f"ModelConfig: dims must be 2 or 3, got {self.dims}")
         if self.tcn not in ("separable", "dense"):
             raise ValueError(f"ModelConfig: unknown tcn kind {self.tcn!r}")
@@ -63,11 +58,11 @@ class ModelConfig:
                  ("kernel_t", self.kernel_t, 1), ("init_seed", self.init_seed, 0)]
         sizes += [(f"channels[{i}]", c, 1) for i, c in enumerate(self.channels)]
         for name, value, least in sizes:
-            if not _is_int(value) or value < least:
+            if not is_int(value) or value < least:
                 raise ValueError(f"ModelConfig: {name} must be an int >= {least}, got {value!r}")
         if self.kernel_t % 2 == 0:
             raise ValueError(f"ModelConfig: kernel_t must be odd, got {self.kernel_t}")
-        if not isinstance(self.dropout, numbers.Real) or not 0.0 <= self.dropout < 1.0:
+        if not is_real(self.dropout) or not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"ModelConfig: dropout must be in [0, 1), got {self.dropout!r}")
 
     def to_dict(self) -> dict:
@@ -107,7 +102,7 @@ def compute_motion(clip):
     return Tensor(out) if isinstance(clip, Tensor) else out
 
 
-class ClassifierHead:
+class ClassifierHead(Layer):
     """FC -> ReLU -> layer norm -> dropout -> FC -> softmax."""
 
     def __init__(self, in_features: int, hidden: int, num_classes: int,
@@ -125,22 +120,15 @@ class ClassifierHead:
         h = ad.dropout(h, self.dropout_rate, rng, active=training)
         return ad.softmax(self.fc2.forward(h))
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return (
-            self.fc1.parameters(f"{prefix}.fc1")
-            + [(f"{prefix}.ln_gamma", self.ln_gamma), (f"{prefix}.ln_beta", self.ln_beta)]
-            + self.fc2.parameters(f"{prefix}.fc2")
-        )
-
 
 @dataclass(eq=False)
-class Stream:
+class Stream(Layer):
     """One input stream: the clip, or its frame differences if ``motion``
     is set, through GSTCN blocks and an optional pointwise projection,
     average-pooled over frames and joints. ``compute_motion`` is looked
     up when the stream runs, so a wrapper on the module global sees it."""
 
-    blocks: list[GstcnBlock]
+    blocks: dict[str, GstcnBlock]
     proj: Tensor | None = None
     motion: bool = False
 
@@ -148,32 +136,26 @@ class Stream:
                 rng: np.random.Generator | None = None) -> Tensor:
         """Pooled [N, C] features; ``masking`` is given only in training."""
         h = compute_motion(x) if self.motion else x
-        for block in self.blocks:
+        for block in self.blocks.values():
             h = block.forward(h, masking, rng)
         if self.proj is not None:
             h = ad.pointwise_conv(h, self.proj)
         return ad.global_avg_pool(h)
-
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = [p for i, block in enumerate(self.blocks)
-               for p in block.parameters(f"{prefix}.block{i + 1}")]
-        if self.proj is not None:
-            out.append((f"{prefix}.proj", self.proj))
-        return out
 
 
 def _build_stream(name: str, config: ModelConfig, norm_adj: np.ndarray,
                   rng: np.random.Generator) -> Stream:
     c1, c2 = config.channels
     if name == "skip":
-        return Stream([], proj=parameter(
+        return Stream({}, proj=parameter(
             rng.normal(0.0, np.sqrt(2.0 / config.dims), (config.dims, c2))))
-    blocks = [GstcnBlock(c_in, c_out, norm_adj, rng, tcn=config.tcn, kernel_t=config.kernel_t)
-              for c_in, c_out in ((config.dims, c1), (c1, c2))]
+    blocks = {f"block{i}": GstcnBlock(c_in, c_out, norm_adj, rng, tcn=config.tcn,
+                                      kernel_t=config.kernel_t)
+              for i, (c_in, c_out) in enumerate(((config.dims, c1), (c1, c2)), 1)}
     return Stream(blocks, motion=name == "motion")
 
 
-class ThreeStreamModel:
+class ThreeStreamModel(Layer):
     """Joint, motion and skip :class:`Stream` features, concatenated in
     ``config.streams`` order and classified by the head.
 
@@ -231,15 +213,6 @@ class ThreeStreamModel:
         probs = self.head.forward(ad.concat_channels(feats), training, rng)
         return Tensor(probs.data[0]) if single else probs
 
-    # --- bookkeeping -----------------------------------------------------
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [p for name, stream in self.streams.items()
-                for p in stream.parameters(name)] + self.head.parameters("head")
-
-    def param_tensors(self) -> list[Tensor]:
-        return [p for _, p in self.parameters()]
-
 
 def count_parameters(model: ThreeStreamModel) -> int:
     """Exact number of trainable scalars, adjacency masks included."""
@@ -253,7 +226,7 @@ def count_flops(model: ThreeStreamModel) -> int:
     t, v = cfg.clip_len, cfg.joint_count
     total = 0
     for stream in model.streams.values():
-        for block in stream.blocks:
+        for block in stream.blocks.values():
             c_in, c_out = block.in_channels, block.out_channels
             separable, dense = septcn_flops(c_out, c_out, t, v, cfg.kernel_t)
             total += t * v * c_in * c_out + t * v * v * c_out  # SGC embed, aggregate

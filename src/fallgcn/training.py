@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,8 +12,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradTape, ShapeError, Tensor
+from .layers import is_int, is_real
 from .metrics import ConfusionMatrix
-from .model import ThreeStreamModel, _is_int
+from .model import ThreeStreamModel
 from .optim import SgdState, sgd_step
 from .skeleton_io import SkeletonClip
 
@@ -43,17 +43,13 @@ class Hyperparams:
     def __post_init__(self) -> None:
         for name, least in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not _is_int(value) or value < least:
+            if not is_int(value) or value < least:
                 raise ValueError(f"Hyperparams: {name} must be an int >= {least}, got {value!r}")
         lr, momentum = self.learning_rate, self.momentum
-        if not (_is_number(lr) and 0.0 <= lr < math.inf):
+        if not (is_real(lr) and 0.0 <= lr < math.inf):
             raise ValueError(f"Hyperparams: learning_rate must be a finite number >= 0, got {lr!r}")
-        if not (_is_number(momentum) and 0.0 <= momentum < 1.0):
+        if not (is_real(momentum) and 0.0 <= momentum < 1.0):
             raise ValueError(f"Hyperparams: momentum must be a number in [0, 1), got {momentum!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end command-line harness: ingest -> train -> eval -> bench ->
 report, plus gradcheck, determinism, and error exits."""
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fallgcn.cli import main
+from fallgcn.cli import build_parser, main
 from fallgcn.config import ARCHIVE_FIELDS, ConfigError, load_run_config
 from fallgcn.layers import MaskingConfig
 from fallgcn.layouts import builtin_layout
@@ -63,6 +64,17 @@ def workspace(tmp_path_factory):
     }
     (root / "run.json").write_text(json.dumps(config))
     return root
+
+
+@pytest.fixture(scope="module")
+def trained(workspace) -> None:
+    """Writes the workspace's clips.fgcn, model.fgcn and report.json once,
+    so that a test reading them also runs on its own."""
+    cfg = str(workspace / "run.json")
+    assert main(["ingest", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg]) == 0
+    assert main(["eval", "--config", cfg, "--checkpoint", str(workspace / "model.fgcn"),
+                 "--archive", str(workspace / "clips.fgcn")]) == 0
 
 
 def test_ingest_writes_archive_and_summary(workspace, capsys):
@@ -171,6 +183,7 @@ def test_train_rejects_a_bad_masking_probability_by_name(workspace, tmp_path, ca
     assert not (tmp_path / "never.fgcn").exists()
 
 
+@pytest.mark.usefixtures("trained")
 def test_eval_report_matches_metrics_exactly(workspace, capsys):
     code = main([
         "eval", "--config", str(workspace / "run.json"),
@@ -190,6 +203,7 @@ def test_eval_report_matches_metrics_exactly(workspace, capsys):
     assert "100.00" in printed.splitlines()[-2]
 
 
+@pytest.mark.usefixtures("trained")
 def test_eval_constant_predictor_balanced_50(workspace, tmp_path, capsys):
     model = load_model(workspace / "model.fgcn")
     model.head.fc2.weight.data[:] = 0.0
@@ -223,6 +237,7 @@ MISMATCHED_ARCHIVES = {
 }
 
 
+@pytest.mark.usefixtures("trained")
 @pytest.mark.parametrize("field", MISMATCHED_ARCHIVES)
 def test_eval_mismatched_archive_fails(workspace, tmp_path, capsys, field):
     shape, class_names, layout = MISMATCHED_ARCHIVES[field]
@@ -241,6 +256,7 @@ def test_eval_mismatched_archive_fails(workspace, tmp_path, capsys, field):
     assert not (tmp_path / "never.json").exists()
 
 
+@pytest.mark.usefixtures("trained")
 def test_report_rerenders_saved_metrics(workspace, capsys):
     assert main(["report", "--metrics", str(workspace / "report.json")]) == 0
     text = capsys.readouterr().out
@@ -252,6 +268,7 @@ def test_report_rerenders_saved_metrics(workspace, capsys):
     assert "accuracy" in payload
 
 
+@pytest.mark.usefixtures("trained")
 def test_bench_reports_both_variants(workspace, capsys):
     code = main([
         "bench", "--checkpoint", str(workspace / "model.fgcn"),
@@ -276,9 +293,30 @@ def test_unknown_config_key_named(tmp_path, capsys):
     bad.write_text(json.dumps({"train": {"learnig_rate": 0.1}}))
     with pytest.raises(ConfigError, match="train.learnig_rate"):
         load_run_config(bad)
-    code = main(["gradcheck", "--config", str(bad)])
+    code = main(["train", "--config", str(bad)])
     assert code != 0
     assert "learnig_rate" in capsys.readouterr().err
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, sub in commands.items()}
+    assert flags == {
+        "ingest": {"--config", "--out", "--manifest", "--layout"},
+        "train": {"--config", "--seed", "--out", "--archive"},
+        "eval": {"--config", "--out", "--format", "--checkpoint", "--archive"},
+        "bench": {"--format", "--checkpoint", "--samples", "--warmup"},
+        "gradcheck": {"--seed"},
+        "report": {"--format", "--metrics"},
+    }
+    assert sum(map(len, flags.values())) == 20
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(["report", "--metrics", "report.json", "--seed", "1"])
+    assert info.value.code == 2
 
 
 def test_defaults_come_from_the_dataclasses():

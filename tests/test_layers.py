@@ -8,11 +8,12 @@ import pytest
 
 from conftest import random_layout, ring_adjacency
 from fallgcn import autodiff as ad
-from fallgcn.autodiff import GradTape, Tensor, grad_check
+from fallgcn.autodiff import GradTape, Tensor, grad_check, parameter
 from fallgcn.graph import normalized_adjacency
 from fallgcn.layers import (
     DenseTcnLayer,
     GstcnBlock,
+    Layer,
     Linear,
     MaskingConfig,
     SepTcnLayer,
@@ -312,3 +313,25 @@ def test_linear_layer_shapes_and_params():
     assert sum(p.size for _, p in fc.parameters("fc")) == 8
     out = fc.forward(Tensor(rng.normal(size=(4, 3))))
     assert out.shape == (4, 2)
+
+
+def test_layer_parameters_walk_the_attribute_tree():
+    # attributes are visited in the order they were set: trainable tensors
+    # by name, held layers under their name, dict entries under their key
+    rng = np.random.default_rng(13)
+
+    class Net(Layer):
+        def __init__(self):
+            self.scale = parameter(np.ones(2))
+            self.constant = Tensor(np.ones(2))  # not trainable: not listed
+            self.width = 2
+            self.blocks = {"a": Linear(2, 2, rng), "b": Linear(2, 2, rng)}
+            self.head = Linear(2, 1, rng)
+            self.unused = None
+
+    net = Net()
+    names = ["scale", "a.weight", "a.bias", "b.weight", "b.bias", "head.weight", "head.bias"]
+    assert [name for name, _ in net.parameters()] == names
+    assert [name for name, _ in net.parameters("net")] == [f"net.{n}" for n in names]
+    assert net.parameters()[0][1] is net.scale
+    assert net.parameters()[-1][1] is net.head.bias

@@ -294,31 +294,38 @@ def test_concurrent_inference_matches_serial(tiny_model):
 
 
 _BLOCK_RECORDS = ("sgc.weight", "sgc.mask", "tcn.depthwise", "tcn.pointwise", "tcn.bias", "proj")
+_DENSE_BLOCK_RECORDS = ("sgc.weight", "sgc.mask", "tcn.kernel", "tcn.bias", "proj")
 _HEAD_RECORDS = ["head.fc1.weight", "head.fc1.bias", "head.ln_gamma", "head.ln_beta",
                  "head.fc2.weight", "head.fc2.bias"]
 
 
-def _stream_records(*streams: str) -> list[str]:
-    return [f"{s}.block{b}.{r}" for s in streams for b in (1, 2) for r in _BLOCK_RECORDS]
+def _stream_records(*streams: str, records=_BLOCK_RECORDS) -> list[str]:
+    return [f"{s}.block{b}.{r}" for s in streams for b in (1, 2) for r in records]
 
 
-@pytest.mark.parametrize("streams, names, sha256, probs", [
-    (("joint", "motion", "skip"),
+@pytest.mark.parametrize("streams, tcn, names, sha256, probs", [
+    (("joint", "motion", "skip"), "separable",
      _stream_records("joint", "motion") + ["skip.proj"] + _HEAD_RECORDS,
      "b82d7a5219759633b534769a74bb9fac9f153ff67230fcb232d31a68b477533f",
      ["0x1.aaa5b4aac0acep-1", "0x1.55692d54fd4ccp-3"]),
-    (("skip", "motion"),
+    (("skip", "motion"), "separable",
      _stream_records("motion") + ["skip.proj"] + _HEAD_RECORDS,
      "3ae330ba91e179caf5a76faacf4ac882872af5c4339dd5e32f77026ce2390622",
      ["0x1.c4e18cb6cfc78p-1", "0x1.d8f39a4981c49p-4"]),
-], ids=["default", "skip-motion"])
-def test_stream_plan_pins_names_checkpoint_bytes_and_forward(tmp_path, streams, names,
+    (("joint", "motion", "skip"), "dense",
+     _stream_records("joint", "motion", records=_DENSE_BLOCK_RECORDS)
+     + ["skip.proj"] + _HEAD_RECORDS,
+     "507075eff4058edf85f9ec6b36fe3d53e4b3eda0884a04dab11a0625f3691231",
+     ["0x1.c92bc66a4e34dp-3", "0x1.8db50e656c72dp-1"]),
+], ids=["default", "skip-motion", "dense"])
+def test_stream_plan_pins_names_checkpoint_bytes_and_forward(tmp_path, streams, tcn, names,
                                                            sha256, probs):
     # weights are drawn and recorded joint, motion, skip, head whatever the
     # config order; the forward concatenates in config order, so a move of
     # either changes the checkpoint hash or the output bits
-    model = ThreeStreamModel(tiny_model_config(streams=streams), ring_adjacency(5))
+    model = ThreeStreamModel(tiny_model_config(streams=streams, tcn=tcn), ring_adjacency(5))
     assert [name for name, _ in model.parameters()] == names
+    assert len({id(p) for _, p in model.parameters()}) == len(names)  # no tensor twice
     path = tmp_path / "model.fgcn"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
@@ -378,6 +385,7 @@ def test_checkpoint_rejects_non_finite_record(tmp_path, tiny_model, record, inde
     (lambda cfg: cfg.update(kernel_t=2), "kernel_t"),
     (lambda cfg: cfg.update(channels=[0, 8]), r"channels\[0\]"),
     (lambda cfg: cfg.update(dropout=2.0), "dropout"),
+    (lambda cfg: cfg.update(dropout=False), "dropout .*False"),
     (lambda cfg: cfg.update(clip_len=1), "clip_len"),
     (lambda cfg: cfg.update(init_seed=-1), "init_seed"),
     (lambda cfg: cfg.update(temporal_pool_residual="no"), "temporal_pool_residual"),
