@@ -96,12 +96,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     archive_path = args.archive or cfg["data"]["archive"]
     if archive_path is None:
         return _fail("train: no clip archive given (flag --archive or config data.archive)")
-    clips, class_names, layout, meta = load_clip_archive(archive_path)
+    clips, class_names, layout, _ = load_clip_archive(archive_path)
     train_clips, val_clips = split_dataset(
         clips, cfg["data"]["train_fraction"], cfg["data"]["split_seed"]
     )
     model_cfg = ModelConfig(**cfg["model"], masking=masking,
-                            **archive_fields(class_names, layout, meta))
+                            **archive_fields(clips, class_names, layout))
     model = ThreeStreamModel(model_cfg, normalized_adjacency(layout))
     history = train(model, train_clips, val_clips, hp)
     ckpt_path = args.out or cfg["out"]["checkpoint"]
@@ -123,12 +123,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     model = load_model(args.checkpoint)
-    clips, class_names, layout, meta = load_clip_archive(args.archive)
+    clips, class_names, layout, _ = load_clip_archive(args.archive)
     problems = [
         f"{name} {getattr(model.config, name)!r} vs archive {value!r}"
-        for name, value in archive_fields(class_names, layout, meta).items()
+        for name, value in archive_fields(clips, class_names, layout).items()
         if getattr(model.config, name) != value
     ]
+    if model.norm_adj.tobytes() != normalized_adjacency(layout).tobytes():
+        problems.append("adjacency differs from the archive layout's")
     if problems:
         return _fail("eval: checkpoint does not match archive: " + "; ".join(problems))
     cm = evaluate(model, clips, class_names=class_names)

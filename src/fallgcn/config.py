@@ -14,24 +14,26 @@ from pathlib import Path
 from .layers import MaskingConfig
 from .layouts import JointLayout
 from .model import ModelConfig
+from .skeleton_io import SkeletonClip
 from .training import Hyperparams
 
 # The ModelConfig fields a clip archive fixes, each read off the
-# ``(class_names, layout, meta)`` that ``load_clip_archive`` returns:
+# ``(clips, class_names, layout)`` that ``load_clip_archive`` returns:
 # ``train`` builds the model from them, ``eval`` checks a checkpoint
 # against them, and the model section has no key for them.
 ARCHIVE_FIELDS = {
-    "dims": lambda class_names, layout, meta: meta["dims"],
-    "clip_len": lambda class_names, layout, meta: meta["clip_len"],
-    "joint_count": lambda class_names, layout, meta: layout.joint_count,
-    "num_classes": lambda class_names, layout, meta: len(class_names),
-    "layout_name": lambda class_names, layout, meta: layout.name,
+    "dims": lambda clips, class_names, layout: clips[0].data.shape[0],
+    "clip_len": lambda clips, class_names, layout: clips[0].data.shape[1],
+    "joint_count": lambda clips, class_names, layout: layout.joint_count,
+    "num_classes": lambda clips, class_names, layout: len(class_names),
+    "layout_name": lambda clips, class_names, layout: layout.name,
 }
 
 
-def archive_fields(class_names: list[str], layout: JointLayout, meta: dict) -> dict:
+def archive_fields(clips: list[SkeletonClip], class_names: list[str],
+                   layout: JointLayout) -> dict:
     """:data:`ARCHIVE_FIELDS` evaluated on one clip archive."""
-    return {name: read(class_names, layout, meta) for name, read in ARCHIVE_FIELDS.items()}
+    return {name: read(clips, class_names, layout) for name, read in ARCHIVE_FIELDS.items()}
 
 
 DEFAULTS: dict = {

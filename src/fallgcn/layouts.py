@@ -30,6 +30,10 @@ class JointLayout:
     root_joint: int
 
     def __post_init__(self) -> None:
+        # the name is one token of the ``.layout`` text format
+        if self.name.split() != [self.name] or "#" in self.name:
+            raise LayoutError(f"layout name {self.name!r} must be non-empty, without "
+                              "whitespace or '#'")
         if self.joint_count < 1:
             raise LayoutError(f"layout '{self.name}': joint_count must be positive")
         if not 0 <= self.root_joint < self.joint_count:
@@ -87,25 +91,26 @@ def parse_layout(text: str, source: str = "<string>") -> JointLayout:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        key, *args = line.split()
+        if (key, len(args)) not in (("name", 1), ("joints", 1), ("root", 1), ("edge", 2)):
+            raise LayoutError(f"{source}:{lineno}: unrecognized layout directive {line!r}")
         try:
-            if parts[0] == "name" and len(parts) == 2:
-                name = parts[1]
-            elif parts[0] == "joints" and len(parts) == 2:
-                joints = int(parts[1])
-            elif parts[0] == "root" and len(parts) == 2:
-                root = int(parts[1])
-            elif parts[0] == "edge" and len(parts) == 3:
-                edges.append((int(parts[1]), int(parts[2])))
+            if key == "name":
+                name = args[0]
+            elif key == "joints":
+                joints = int(args[0])
+            elif key == "root":
+                root = int(args[0])
             else:
-                raise LayoutError(
-                    f"{source}:{lineno}: unrecognized layout directive {line!r}"
-                )
+                edges.append((int(args[0]), int(args[1])))
         except ValueError as exc:
             raise LayoutError(f"{source}:{lineno}: {exc}") from exc
     if name is None or joints is None or root is None:
         raise LayoutError(f"{source}: missing one of name/joints/root directives")
-    return JointLayout(name=name, joint_count=joints, edges=tuple(edges), root_joint=root)
+    try:
+        return JointLayout(name=name, joint_count=joints, edges=tuple(edges), root_joint=root)
+    except LayoutError as exc:
+        raise LayoutError(f"{source}: {exc}") from exc
 
 
 def format_layout(layout: JointLayout) -> str:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
-from .layouts import JointLayout
+from .layouts import JointLayout, LayoutError, format_layout, parse_layout
 
 
 class ManifestError(ValueError):
@@ -177,8 +177,10 @@ def _parse_frame(raw, layout: JointLayout, where: str) -> tuple[np.ndarray, bool
 
 
 def parse_sequence_records(path: str | Path, layout: JointLayout) -> dict[str, dict]:
-    """All records in a sequence file, keyed by id; each value holds the
-    raw label, ``coords`` [T, joints, dims], ``valid`` [T] and the line."""
+    """All records in a sequence file, keyed by id; each value holds
+    ``coords`` [T, joints, dims], ``valid`` [T] and the line. A record's
+    own label is not read: the manifest's label column is the one that
+    counts (see :func:`load_sequences`)."""
     path = Path(path)
     records: dict[str, dict] = {}
     with open(path) as fh:
@@ -208,7 +210,6 @@ def parse_sequence_records(path: str | Path, layout: JointLayout) -> dict[str, d
                     f"(first seen at line {records[str(rec['id'])]['line']})"
                 )
             records[str(rec["id"])] = {
-                "label": rec.get("label"),
                 "coords": np.array([c for c, _ in frames]).reshape(-1, layout.joint_count, dims),
                 "valid": np.array([v for _, v in frames], dtype=bool),
                 "line": lineno,
@@ -234,7 +235,7 @@ def load_sequences(manifest: DatasetManifest, layout: JointLayout) -> list[Skele
     """One SkeletonSequence per manifest entry, frame order preserved.
 
     The manifest's label column is authoritative; a record's own label
-    field is treated as annotation and not cross-checked.
+    field is annotation and is not read.
     """
     file_cache: dict[Path, dict[str, dict]] = {}
     out = []
@@ -299,11 +300,16 @@ def normalize_clip(clip: SkeletonClip, layout: JointLayout) -> SkeletonClip:
     largest joint-to-root distance (skipped when everything coincides).
 
     Idempotent: a normalized frame has the root at the origin and max
-    distance exactly 1.
+    distance exactly 1. A frame whose distance overflows float64 is
+    refused by index.
     """
-    centered = clip.data - clip.data[:, :, layout.root_joint:layout.root_joint + 1]
-    dists = np.sqrt((centered ** 2).sum(axis=0))  # [T, V]
+    with np.errstate(over="ignore"):  # an overflow is refused below, by frame
+        centered = clip.data - clip.data[:, :, layout.root_joint:layout.root_joint + 1]
+        dists = np.sqrt((centered ** 2).sum(axis=0))  # [T, V]
     scales = dists.max(axis=1)  # [T]
+    if not np.isfinite(scales).all():
+        raise ValueError(f"normalize_clip: frame {int(np.isfinite(scales).argmin())} is too "
+                         "far from its root joint to scale (the distance overflows)")
     divisors = np.where(scales >= NORMALIZE_MIN_SCALE, scales, 1.0)
     return SkeletonClip(data=centered / divisors[None, :, None], label=clip.label)
 
@@ -320,73 +326,50 @@ def clips_from_sequences(sequences: list[SkeletonSequence], layout: JointLayout,
             for clip in window_sequence(drop_invalid_frames(seq), clip_len, stride)]
 
 
+def stack_clips(clips: list[SkeletonClip]) -> tuple[np.ndarray, np.ndarray]:
+    """Clip data [N, dims, T, joints] and int64 labels [N]."""
+    return np.stack([c.data for c in clips]), np.array([c.label for c in clips], dtype=np.int64)
+
+
 def save_clip_archive(path: str | Path, clips: list[SkeletonClip],
                       class_names: list[str], layout: JointLayout,
                       stride: int | None = None) -> None:
-    """Write windowed clips plus everything needed to rebuild the model
-    input contract (layout, class names, clip length)."""
+    """Write windowed clips with their labels, class names, layout (as
+    ``.layout`` text) and the ingest stride; each fact is stored once, so
+    the clip shape is read off the ``clips`` record."""
     if not clips:
         raise ValueError("save_clip_archive: no clips to write")
-    data = np.stack([c.data for c in clips])
-    labels = np.array([c.label for c in clips], dtype=np.int64)
-    meta = {
-        "kind": "clip_archive",
-        "class_names": list(class_names),
-        "dims": int(data.shape[1]),
-        "clip_len": int(data.shape[2]),
-        "stride": stride,
-        "layout": {
-            "name": layout.name,
-            "joint_count": layout.joint_count,
-            "edges": [list(e) for e in layout.edges],
-            "root_joint": layout.root_joint,
-        },
-    }
+    data, labels = stack_clips(clips)
+    meta = {"kind": "clip_archive", "class_names": list(class_names), "stride": stride,
+            "layout": format_layout(layout)}
     save_arrays(path, {"clips": data, "labels": labels}, meta=meta)
 
 
 def load_clip_archive(path: str | Path) -> tuple[list[SkeletonClip], list[str], JointLayout, dict]:
     """Clips, class names, layout and metadata written by
-    :func:`save_clip_archive`; every field is checked against the others."""
+    :func:`save_clip_archive`; the records are checked against the
+    metadata."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "clip_archive" or "clips" not in arrays or "labels" not in arrays:
         raise ClipFormatError(f"{path}: not a clip archive")
-
-    def meta_field(key: str, ok, want: str):
-        if key not in meta:
-            raise ClipFormatError(f"{path}: metadata field '{key}' is missing")
-        if not ok(meta[key]):
-            raise ClipFormatError(
-                f"{path}: metadata field '{key}' must be {want}, got {meta[key]!r}"
-            )
-        return meta[key]
-
-    # metadata comes from JSON, so an integer field is exactly an int
-    class_names = meta_field(
-        "class_names",
-        lambda v: isinstance(v, list) and v and all(isinstance(n, str) for n in v),
-        "a non-empty list of names")
-    dims = meta_field("dims", lambda v: type(v) is int and v in (2, 3), "2 or 3")
-    clip_len = meta_field("clip_len", lambda v: type(v) is int and v >= 1, "an int >= 1")
-    lay = meta_field(
-        "layout", lambda v: isinstance(v, dict) and isinstance(v.get("name"), str)
-        and type(v.get("joint_count")) is int and type(v.get("root_joint")) is int
-        and isinstance(v.get("edges"), list),
-        "an object with name, joint_count, edges and root_joint")
+    class_names = meta.get("class_names")
+    if not (isinstance(class_names, list) and class_names
+            and all(isinstance(n, str) for n in class_names)):
+        raise ClipFormatError(f"{path}: metadata field 'class_names' must be a non-empty "
+                              f"list of names, got {class_names!r}")
+    if not isinstance(meta.get("layout"), str):
+        raise ClipFormatError(f"{path}: metadata field 'layout' must be .layout text, got "
+                              f"{meta.get('layout')!r}; ingest the sequences again")
     try:
-        layout = JointLayout(
-            name=lay["name"],
-            joint_count=lay["joint_count"],
-            edges=tuple(tuple(e) for e in lay["edges"]),
-            root_joint=lay["root_joint"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ClipFormatError(f"{path}: metadata field 'layout' is malformed: {exc}") from exc
+        layout = parse_layout(meta["layout"], source=f"{path}: metadata field 'layout'")
+    except LayoutError as exc:
+        raise ClipFormatError(str(exc)) from exc
     data, labels = arrays["clips"], arrays["labels"]
-    if data.ndim != 4 or len(data) < 1 or data.shape[1:] != (dims, clip_len, layout.joint_count):
+    if (data.ndim != 4 or min(data.shape[0], data.shape[2]) < 1 or data.shape[1] not in (2, 3)
+            or data.shape[3] != layout.joint_count):
         raise ClipFormatError(
             f"{path}: record 'clips' has shape {data.shape}, expected "
-            f"[N >= 1, {dims}, {clip_len}, {layout.joint_count}]"
+            f"[N >= 1, 2 or 3, T >= 1, {layout.joint_count}]"
         )
     if labels.dtype.kind not in "iu" or labels.shape != (data.shape[0],):
         raise ClipFormatError(

@@ -16,7 +16,7 @@ from .layers import is_int, is_real
 from .metrics import ConfusionMatrix
 from .model import ThreeStreamModel
 from .optim import SgdState, sgd_step
-from .skeleton_io import SkeletonClip
+from .skeleton_io import SkeletonClip, stack_clips
 
 # Clips per evaluation forward. With freed heap kept mapped (see
 # ``autodiff``) no batch size pays page faults. 128 desk clips on a 2-core
@@ -66,12 +66,6 @@ class TrainingDiverged(RuntimeError):
         self.batch = batch
 
 
-def _stack(clips: list[SkeletonClip]) -> tuple[np.ndarray, np.ndarray]:
-    data = np.stack([c.data for c in clips])
-    labels = np.array([c.label for c in clips], dtype=np.int64)
-    return data, labels
-
-
 def train(model: ThreeStreamModel, train_clips: list[SkeletonClip],
           val_clips: list[SkeletonClip], hp: Hyperparams) -> list[EpochRecord]:
     """SGD over seeded shuffled mini-batches; the model is updated in
@@ -86,7 +80,7 @@ def train(model: ThreeStreamModel, train_clips: list[SkeletonClip],
         raise ValueError(
             f"train: batch_size {hp.batch_size} exceeds train size {len(train_clips)}"
         )
-    data, labels = _stack(train_clips)
+    data, labels = stack_clips(train_clips)
     n = len(train_clips)
     shuffle_rng = np.random.default_rng([hp.seed, 0])
     mask_rng = np.random.default_rng([hp.seed, 1])
@@ -118,7 +112,7 @@ def evaluate(model: ThreeStreamModel, clips: list[SkeletonClip],
     of ``EVAL_BATCH`` clips; the model is not modified."""
     if not clips:
         raise ValueError("evaluate: empty clip set")
-    data, labels = _stack(clips)
+    data, labels = stack_clips(clips)
     k = model.config.num_classes
     bad = (labels < 0) | (labels >= k)
     if bad.any():

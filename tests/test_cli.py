@@ -257,6 +257,26 @@ def test_eval_mismatched_archive_fails(workspace, tmp_path, capsys, field):
 
 
 @pytest.mark.usefixtures("trained")
+def test_eval_refuses_an_archive_whose_graph_differs_under_the_same_name(
+        workspace, tmp_path, capsys):
+    chain = dataclasses.replace(STICK9, edges=tuple((j, j + 1) for j in range(8)))
+    archive = tmp_path / "chain.fgcn"
+    rng = np.random.default_rng(0)
+    clips = [SkeletonClip(data=rng.normal(size=(2, 16, 9)), label=k % 2) for k in range(4)]
+    save_clip_archive(archive, clips, CLASS_NAMES, chain)
+    code = main([
+        "eval", "--config", str(workspace / "run.json"),
+        "--checkpoint", str(workspace / "model.fgcn"),
+        "--archive", str(archive), "--out", str(tmp_path / "never.json"),
+    ])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert "adjacency" in err
+    assert [name for name in ARCHIVE_FIELDS if name in err] == []
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.usefixtures("trained")
 def test_report_rerenders_saved_metrics(workspace, capsys):
     assert main(["report", "--metrics", str(workspace / "report.json")]) == 0
     text = capsys.readouterr().out

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from conftest import random_layout
 from fallgcn.layouts import (
     JointLayout,
     LayoutError,
@@ -7,6 +9,7 @@ from fallgcn.layouts import (
     format_layout,
     load_layout,
     parse_layout,
+    ring_layout,
     save_layout,
 )
 
@@ -61,5 +64,27 @@ def test_edges_canonicalized_smaller_first():
 
 
 def test_format_is_parseable():
-    layout = builtin_layout("stick9")
-    assert parse_layout(format_layout(layout)) == layout
+    rng = np.random.default_rng(0)
+    layouts = [builtin_layout(name) for name in ("coco18", "kinect20", "stick9")]
+    layouts += [ring_layout(v) for v in (3, 5, 8)]
+    layouts += [random_layout(rng, max_joints=10) for _ in range(20)]
+    for layout in layouts:
+        assert parse_layout(format_layout(layout)) == layout
+
+
+@pytest.mark.parametrize("name", ["", "my layout", "a#b", "tab\tname", "line\n"])
+def test_name_the_text_format_cannot_carry_is_refused(name):
+    with pytest.raises(LayoutError, match="layout name"):
+        JointLayout(name=name, joint_count=2, edges=((0, 1),), root_joint=0)
+
+
+@pytest.mark.parametrize("last_line, error", [
+    ("bogus 1", "{path}:4: unrecognized layout directive 'bogus 1'"),
+    ("edge 0 99", "{path}: layout 'x': edge (0, 99) exceeds joint count 3"),
+], ids=["unknown-directive", "edge-out-of-range"])
+def test_layout_file_error_names_the_file_once(tmp_path, last_line, error):
+    path = tmp_path / "bad.layout"
+    path.write_text(f"name x\njoints 3\nroot 0\n{last_line}\n")
+    with pytest.raises(LayoutError) as info:
+        load_layout(path)
+    assert str(info.value) == error.format(path=path)

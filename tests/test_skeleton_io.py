@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fallgcn.layouts import JointLayout, builtin_layout
+from fallgcn.layouts import JointLayout, builtin_layout, format_layout
 from fallgcn.skeleton_io import (
     ClipFormatError,
     DatasetManifest,
@@ -305,6 +305,13 @@ def test_normalize_idempotent():
         assert np.abs(twice.data - once.data).max() < 1e-12
 
 
+def test_normalize_refuses_a_frame_whose_distance_overflows():
+    data = np.zeros((2, 3, 2))
+    data[:, 1, 1] = 1e200
+    with pytest.raises(ValueError, match="frame 1 "):
+        normalize_clip(SkeletonClip(data=data, label=0), PAIR)
+
+
 def test_pipeline_preserves_label_and_joint_count():
     layout = builtin_layout("stick9")
     seq = make_seq(40, label=3, layout=layout, seed=5)
@@ -409,7 +416,7 @@ def test_clip_archive_roundtrip_and_determinism(tmp_path):
     loaded, class_names, got_layout, meta = load_clip_archive(p1)
     assert class_names == ["fall", "walk"]
     assert got_layout == layout
-    assert meta["clip_len"] == 8 and meta["dims"] == 2
+    assert [c.data.shape for c in loaded] == [(2, 8, 9)] * 6
     for a, b in zip(clips, loaded):
         assert a.label == b.label
         assert np.array_equal(a.data, b.data)
@@ -453,19 +460,24 @@ def test_clip_archive_rejects_labels_outside_the_classes(tmp_path, bad):
     _rejects(_edited_archive(tmp_path, edit), f"clip 2 label {bad}")
 
 
+STICK9_TEXT = format_layout(builtin_layout("stick9"))
+
+
 @pytest.mark.parametrize("key, value", [
     ("layout", None),
     ("class_names", None),
-    ("dims", None),
-    ("clip_len", None),
-    ("layout", {"name": "stick9", "joint_count": "9", "edges": [], "root_joint": 0}),
+    pytest.param("layout", STICK9_TEXT + "edge 0 99\n", id="layout-edge-0-99"),
+    pytest.param("layout", STICK9_TEXT + "bogus 1\n", id="layout-unknown-directive"),
+    # JSON objects, well-formed and not, as archives held before the layout
+    # became .layout text
+    ("layout", {"name": "stick9", "joint_count": 9, "root_joint": 4,
+                "edges": [list(e) for e in builtin_layout("stick9").edges]}),
     ("layout", {"name": "stick9", "joint_count": 9, "edges": [[0, 1]], "root_joint": 0}),
     ("class_names", []),
-    ("dims", "2"),
-    ("clip_len", 8.0),
 ])
 def test_clip_archive_rejects_missing_or_malformed_metadata(tmp_path, key, value):
-    # None removes the field
+    # None removes the field; the layout-text cases carry their own ids so
+    # that the numbered ids of the others stay as they were
     def edit(arrays, meta):
         if value is None:
             del meta[key]
@@ -476,11 +488,10 @@ def test_clip_archive_rejects_missing_or_malformed_metadata(tmp_path, key, value
 
 
 @pytest.mark.parametrize("edit", [
-    lambda arrays, meta: meta.update(clip_len=9),
-    lambda arrays, meta: meta.update(dims=3),
     lambda arrays, meta: arrays.update(clips=arrays["clips"][:, :, :, :8]),
     lambda arrays, meta: arrays.update(clips=arrays["clips"][0]),
+    lambda arrays, meta: arrays.update(clips=np.concatenate([arrays["clips"]] * 2, axis=1)),
     lambda arrays, meta: arrays["clips"].__setitem__((2, 0, 3, 4), np.nan),
-], ids=["clip_len", "dims", "joint_count", "3-D", "non-finite"])
+], ids=["joint_count", "3-D", "4-channels", "non-finite"])
 def test_clip_archive_rejects_a_bad_clips_record(tmp_path, edit):
     _rejects(_edited_archive(tmp_path, edit), "clips")
