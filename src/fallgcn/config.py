@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .layers import MaskingConfig
-from .layouts import JointLayout
+from .layouts import JointLayout, open_utf8
 from .model import ModelConfig
 from .skeleton_io import SkeletonClip
 from .training import Hyperparams
@@ -85,7 +85,8 @@ def load_run_config(path: str | Path | None) -> dict:
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         try:
-            user = json.loads(p.read_text())
+            with open_utf8(p, ConfigError) as fh:
+                user = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p}: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
         if not isinstance(user, dict):

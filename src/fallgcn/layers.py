@@ -57,10 +57,14 @@ class Linear(Layer):
 class SgcLayer(Layer):
     """Spatial graph convolution with a trainable multiplicative mask.
 
-    Channels are first embedded with a weight shared across each joint's
-    neighbor set (uni-labeling), then aggregated over neighbors through
-    the normalized adjacency refined elementwise by the mask M. M starts
-    at all-ones, so training begins from the anatomical graph.
+    Computes ``(A ⊙ M) · X · W``: neighbors are aggregated through the
+    normalized adjacency A refined elementwise by the mask M, then the
+    C_in channels are embedded to C_out with a weight shared across each
+    joint's neighbor set (uni-labeling). Both maps are linear and one
+    mixes only joints while the other mixes only channels, so this order
+    is the paper's embed-then-aggregate function; aggregating the C_in
+    input channels costs C_in/C_out of aggregating the C_out outputs.
+    M starts at all-ones, so training begins from the anatomical graph.
     """
 
     def __init__(self, in_channels: int, out_channels: int,
@@ -75,7 +79,7 @@ class SgcLayer(Layer):
 
     def forward(self, x: Tensor) -> Tensor:
         effective = ad.mul(self.adjacency, self.mask)
-        return ad.spatial_aggregate(ad.pointwise_conv(x, self.weight), effective)
+        return ad.pointwise_conv(ad.spatial_aggregate(x, effective), self.weight)
 
 
 class SepTcnLayer(Layer):

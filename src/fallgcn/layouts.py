@@ -7,9 +7,11 @@ package under ``fallgcn/layouts/``.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Iterator, TextIO
 
 
 class LayoutError(ValueError):
@@ -81,12 +83,14 @@ def parse_layout(text: str, source: str = "<string>") -> JointLayout:
     """Parse the plain-text layout format.
 
     Directives, one per line: ``name <str>``, ``joints <int>``,
-    ``root <int>``, ``edge <int> <int>``. ``#`` starts a comment.
+    ``root <int>``, ``edge <int> <int>``. ``#`` starts a comment. Each
+    of ``name``, ``joints`` and ``root`` is given exactly once.
     """
     name = None
     joints = None
     root = None
     edges: list[tuple[int, int]] = []
+    first_line: dict[str, int] = {}  # line of each name/joints/root directive
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,6 +98,11 @@ def parse_layout(text: str, source: str = "<string>") -> JointLayout:
         key, *args = line.split()
         if (key, len(args)) not in (("name", 1), ("joints", 1), ("root", 1), ("edge", 2)):
             raise LayoutError(f"{source}:{lineno}: unrecognized layout directive {line!r}")
+        if key != "edge":
+            if key in first_line:
+                raise LayoutError(f"{source}:{lineno}: repeated '{key}' directive "
+                                  f"(first given at line {first_line[key]})")
+            first_line[key] = lineno
         try:
             if key == "name":
                 name = args[0]
@@ -119,9 +128,28 @@ def format_layout(layout: JointLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def open_utf8(path: Path, error: type[ValueError], newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened for reading as UTF-8 text. Bytes that do not decode
+    raise ``error`` starting with the path and naming the byte offset."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the stream counts offsets from the chunk it was decoding
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at "
+                        f"offset {exc.start} ({exc.reason})") from exc
+        raise
+
+
 def load_layout(path: str | Path) -> JointLayout:
     path = Path(path)
-    return parse_layout(path.read_text(), source=str(path))
+    with open_utf8(path, LayoutError) as fh:
+        text = fh.read()
+    return parse_layout(text, source=str(path))
 
 
 def save_layout(layout: JointLayout, path: str | Path) -> None:

@@ -220,8 +220,11 @@ def count_parameters(model: ThreeStreamModel) -> int:
 
 
 def count_flops(model: ThreeStreamModel) -> int:
-    """Multiplies in one single-clip forward pass: SGC matmuls, temporal
-    convolutions, residual/skip projections, and the head."""
+    """Multiplies in one single-clip forward pass of the paper's model:
+    SGC matmuls, temporal convolutions, residual/skip projections, and
+    the head. The SGC is counted in the paper's order, embed then
+    aggregate: ``t·v·c_in·c_out + t·v·v·c_out``. ``SgcLayer`` aggregates
+    first, so the aggregate the engine performs is ``t·v·v·c_in``."""
     cfg = model.config
     t, v = cfg.clip_len, cfg.joint_count
     total = 0

@@ -17,6 +17,8 @@ failed (``valid`` defaults to true). A record loads as one
 [T]. A non-finite coordinate, a ``valid`` that is not a JSON boolean, a
 ``frames`` that is not a list, or frames mixing 2-D and 3-D fail with
 ``ClipFormatError`` naming ``path:line`` (and the frame, if one is at fault).
+A sequence file or manifest that is not UTF-8 text fails with its
+reader's typed error naming the path and the byte offset.
 
 Manifest file: CSV with a required header ``path,label,id``; paths are
 resolved relative to the manifest's directory.
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
-from .layouts import JointLayout, LayoutError, format_layout, parse_layout
+from .layouts import JointLayout, LayoutError, format_layout, open_utf8, parse_layout
 
 
 class ManifestError(ValueError):
@@ -119,7 +121,7 @@ def read_manifest(path: str | Path, layout_name: str) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
-    with open(path, newline="") as fh:
+    with open_utf8(path, ManifestError, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -183,7 +185,7 @@ def parse_sequence_records(path: str | Path, layout: JointLayout) -> dict[str, d
     counts (see :func:`load_sequences`)."""
     path = Path(path)
     records: dict[str, dict] = {}
-    with open(path) as fh:
+    with open_utf8(path, ClipFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -320,10 +322,16 @@ def clips_from_sequences(sequences: list[SkeletonSequence], layout: JointLayout,
     rest into clips and normalize each clip; clips in sequence order.
 
     Each step is looked up as a module global when it runs, so a wrapper
-    set on this module (``perfbench``'s tracer) sees every call."""
-    return [normalize_clip(clip, layout)
-            for seq in sequences
-            for clip in window_sequence(drop_invalid_frames(seq), clip_len, stride)]
+    set on this module (``perfbench``'s tracer) sees every call. A clip
+    that ``normalize_clip`` refuses is named by sequence id and index."""
+    clips = []
+    for seq in sequences:
+        for index, clip in enumerate(window_sequence(drop_invalid_frames(seq), clip_len, stride)):
+            try:
+                clips.append(normalize_clip(clip, layout))
+            except ValueError as exc:
+                raise ClipFormatError(f"sequence '{seq.id}', clip {index}: {exc}") from exc
+    return clips
 
 
 def stack_clips(clips: list[SkeletonClip]) -> tuple[np.ndarray, np.ndarray]:

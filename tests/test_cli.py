@@ -125,6 +125,26 @@ def test_ingest_non_finite_coordinate_names_file_line_and_frame(workspace, tmp_p
     assert "Traceback" not in err
 
 
+def test_ingest_names_the_sequence_and_clip_whose_frame_overflows(workspace, tmp_path, capsys):
+    # clip_len 16, stride 16: frame 19 of the sequence is frame 3 of clip 1
+    seq_path = tmp_path / "far.jsonl"
+    still = "[" + ", ".join(["[0.0, 0.0]"] * 9) + "]"  # stick9: 9 joints
+    far = "[[1e200, 0.0]" + ", [0.0, 0.0]" * 8 + "]"
+    frames = [still] * 19 + [far] + [still] * 12
+    seq_path.write_text(f'{{"id": "seqA", "label": "fall", "frames": [{", ".join(frames)}]}}\n')
+    manifest = tmp_path / "far.csv"
+    write_manifest(manifest, [ManifestEntry(seq_path, "fall", "seqA")])
+    code = main([
+        "ingest", "--config", str(workspace / "run.json"),
+        "--manifest", str(manifest), "--out", str(tmp_path / "o.fgcn"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("sequence 'seqA', clip 1: normalize_clip: frame 3 is too far from its root "
+            "joint to scale") in err
+    assert "Traceback" not in err
+
+
 def test_train_writes_checkpoint_and_history(workspace, capsys):
     assert main(["train", "--config", str(workspace / "run.json")]) == 0
     out = capsys.readouterr().out
@@ -316,6 +336,14 @@ def test_unknown_config_key_named(tmp_path, capsys):
     code = main(["train", "--config", str(bad)])
     assert code != 0
     assert "learnig_rate" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_names_the_path_and_byte_offset(tmp_path):
+    bad = tmp_path / "run.json"
+    bad.write_bytes(b'{"train": {"seed": "\xe5"}}')
+    with pytest.raises(ConfigError) as info:
+        load_run_config(bad)
+    assert str(info.value).startswith(f"{bad}: not UTF-8 text: byte 0xe5 at offset 20 ")
 
 
 def test_each_command_takes_only_the_flags_it_reads():

@@ -1,7 +1,7 @@
 """Layer-level checks: the spatial graph convolution against a
-per-node brute-force aggregation loop, Sep-TCN against the equivalent
-rank-constrained dense convolution, FLOP formulas, masking, and the
-block composition.
+per-node brute-force aggregation loop and against the embed-first op
+composition, Sep-TCN against the equivalent rank-constrained dense
+convolution, FLOP formulas, masking, and the block composition.
 """
 import numpy as np
 import pytest
@@ -74,6 +74,39 @@ def test_sgc_matches_brute_force_on_random_graphs():
         want = sgc_brute_force(x, layer.weight.data, layer.mask.data,
                                norm_adj, neighbor_sets)
         assert np.abs(got - want).max() < 1e-10, f"seed {seed}"
+
+
+def _sgc_embed_then_aggregate(layer, x):
+    """The paper's order from the same ops: embed C_in -> C_out, then
+    aggregate over joints through A ⊙ M."""
+    return ad.spatial_aggregate(ad.pointwise_conv(x, layer.weight),
+                                ad.mul(layer.adjacency, layer.mask))
+
+
+@pytest.mark.parametrize("x_requires_grad", [True, False], ids=["x-grad", "x-const"])
+def test_sgc_aggregate_first_is_embed_first_with_the_same_gradients(x_requires_grad):
+    # the layer aggregates the C_in inputs before embedding; both maps are
+    # linear and act on different axes, so values and gradients must agree
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        layout = random_layout(rng, max_joints=8)
+        c_in, c_out, n, t_len = (int(k) for k in rng.integers([1, 1, 1, 1], [9, 9, 4, 7]))
+        layer = SgcLayer(c_in, c_out, normalized_adjacency(layout), rng)
+        layer.mask.data = rng.uniform(0.2, 2.0, layer.mask.shape)
+        v = layout.joint_count
+        x = Tensor(rng.normal(size=(n, c_in, t_len, v)), requires_grad=x_requires_grad)
+        cotangent = Tensor(rng.normal(size=(n, c_out, t_len, v)))
+        wrt = [layer.weight, layer.mask] + ([x] if x_requires_grad else [])
+        results = []
+        for path in (layer.forward, lambda h: _sgc_embed_then_aggregate(layer, h)):
+            with GradTape() as tape:
+                out = path(x)
+                loss = ad.sum_all(ad.mul(out, cotangent))
+            results.append((out.data, tape.gradients(loss, wrt)))
+        (got, got_grads), (want, want_grads) = results
+        assert np.abs(got - want).max() < 1e-12, f"seed {seed}"
+        for name, g, w in zip(("weight", "mask", "x"), got_grads, want_grads):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), f"seed {seed}: {name}"
 
 
 def test_sgc_dimension_mismatch():

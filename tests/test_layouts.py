@@ -81,10 +81,22 @@ def test_name_the_text_format_cannot_carry_is_refused(name):
 @pytest.mark.parametrize("last_line, error", [
     ("bogus 1", "{path}:4: unrecognized layout directive 'bogus 1'"),
     ("edge 0 99", "{path}: layout 'x': edge (0, 99) exceeds joint count 3"),
-], ids=["unknown-directive", "edge-out-of-range"])
+    ("name y", "{path}:4: repeated 'name' directive (first given at line 1)"),
+    ("joints 4", "{path}:4: repeated 'joints' directive (first given at line 2)"),
+    ("root 1", "{path}:4: repeated 'root' directive (first given at line 3)"),
+], ids=["unknown-directive", "edge-out-of-range", "repeated-name", "repeated-joints",
+        "repeated-root"])
 def test_layout_file_error_names_the_file_once(tmp_path, last_line, error):
     path = tmp_path / "bad.layout"
     path.write_text(f"name x\njoints 3\nroot 0\n{last_line}\n")
     with pytest.raises(LayoutError) as info:
         load_layout(path)
     assert str(info.value) == error.format(path=path)
+
+
+def test_layout_file_that_is_not_utf8_names_the_path_and_byte_offset(tmp_path):
+    path = tmp_path / "bad.layout"
+    path.write_bytes(b"name x\xe5\njoints 2\nroot 0\nedge 0 1\n")
+    with pytest.raises(LayoutError) as info:
+        load_layout(path)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: byte 0xe5 at offset 6 ")

@@ -307,7 +307,7 @@ def _stream_records(*streams: str, records=_BLOCK_RECORDS) -> list[str]:
     (("joint", "motion", "skip"), "separable",
      _stream_records("joint", "motion") + ["skip.proj"] + _HEAD_RECORDS,
      "b82d7a5219759633b534769a74bb9fac9f153ff67230fcb232d31a68b477533f",
-     ["0x1.aaa5b4aac0acep-1", "0x1.55692d54fd4ccp-3"]),
+     ["0x1.aaa5b4aac0acep-1", "0x1.55692d54fd4c8p-3"]),
     (("skip", "motion"), "separable",
      _stream_records("motion") + ["skip.proj"] + _HEAD_RECORDS,
      "3ae330ba91e179caf5a76faacf4ac882872af5c4339dd5e32f77026ce2390622",
@@ -316,7 +316,7 @@ def _stream_records(*streams: str, records=_BLOCK_RECORDS) -> list[str]:
      _stream_records("joint", "motion", records=_DENSE_BLOCK_RECORDS)
      + ["skip.proj"] + _HEAD_RECORDS,
      "507075eff4058edf85f9ec6b36fe3d53e4b3eda0884a04dab11a0625f3691231",
-     ["0x1.c92bc66a4e34dp-3", "0x1.8db50e656c72dp-1"]),
+     ["0x1.c92bc66a4e34fp-3", "0x1.8db50e656c72cp-1"]),
 ], ids=["default", "skip-motion", "dense"])
 def test_stream_plan_pins_names_checkpoint_bytes_and_forward(tmp_path, streams, tcn, names,
                                                            sha256, probs):

@@ -125,6 +125,28 @@ def test_malformed_json_reports_line(tmp_path):
         parse_sequence_records(path, PAIR)
 
 
+@pytest.mark.parametrize("records_before", [0, 500], ids=["first-line", "past-first-chunk"])
+def test_sequence_file_that_is_not_utf8_names_the_path_and_byte_offset(tmp_path,
+                                                                       records_before):
+    # 500 records put the bad byte past the reader's first 8 KiB chunk,
+    # so the offset must count from the start of the file
+    path = tmp_path / "bad.jsonl"
+    before = b"".join(b'{"id": "r%d", "frames": []}\n' % i for i in range(records_before))
+    path.write_bytes(before + b'{"id": "a\xe5", "frames": []}\n')
+    with pytest.raises(ClipFormatError) as info:
+        parse_sequence_records(path, PAIR)
+    assert str(info.value).startswith(
+        f"{path}: not UTF-8 text: byte 0xe5 at offset {len(before) + 9} ")
+
+
+def test_manifest_that_is_not_utf8_names_the_path_and_byte_offset(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(b"path,label,id\na.jsonl,fall,x\xe5\n")
+    with pytest.raises(ManifestError) as info:
+        read_manifest(path, "pair")
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: byte 0xe5 at offset 28 ")
+
+
 GOOD_FRAME = "[[0.0, 0.0], [1.0, 1.0]]"
 
 
