@@ -1,10 +1,22 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The engine covers exactly the operations the fall-detection network
-needs: matmul, elementwise add/multiply, relu, temporal convolutions
-(depthwise and dense), pointwise 1x1 convolution, max pooling over
-frames/joints, global average pooling, layer normalization, dropout,
-channel concatenation, softmax, and cross-entropy.
+needs: matmul, elementwise add/multiply, per-channel bias, relu of a sum
+of terms, temporal convolutions (depthwise and dense), pointwise 1x1
+convolution, max pooling over frames/joints, global average pooling,
+layer normalization, dropout, channel concatenation, softmax, and
+cross-entropy.
+
+A GSTCN block ends in two ops where the composed form takes five: the
+dense temporal and the pointwise convolution take an optional bias,
+added in place into each slice of their output, and ``relu(*terms)``
+adds its terms left to right into one buffer before rectifying it. Each
+addition is the one ``relu(add(add(bias_add(conv), res), pool))`` would
+make, so the bits are the same. ``add``, ``bias_add``, ``mul`` and
+``max_pool_joints`` must stay defined even where the model no longer
+calls them: ``perfbench/tracing.py`` wraps every op named in its
+``TRACED_OPS`` by reading it from this module's namespace, and a
+missing one raises ``KeyError`` in every traced run.
 
 Activations keep one layout, [N, C, T, V], and the convolution kernels
 work on it natively: flattening (frame, joint) into one axis turns the
@@ -42,8 +54,9 @@ The samples of a batch are independent in every kernel but the batch
 reductions, so each per-sample computation is split over the batch:
 the pointwise, depthwise and dense temporal convolutions and the
 spatial aggregation (forward and input gradient, plus the per-sample
-weight-gradient stacks), the frame/joint max pools, add, bias_add,
-scale, relu, and the tape's sum of two [N, C, T, V] gradients. The
+weight-gradient stacks, the bias added into a convolution's output),
+the frame/joint max pools, add, bias_add, scale, relu, and the tape's
+sum of two [N, C, T, V] gradients. The
 batch is cut into contiguous slices of at least ``_MIN_SLICE_SIZE``
 elements, which up to ``usable CPUs // OpenBLAS threads`` threads, the
 caller and helpers, take in turn and write into one preallocated
@@ -431,16 +444,48 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _make(_batched(np.add, x.data, view), (x, b), backward)
 
 
-def relu(x: Tensor) -> Tensor:
+def relu(*terms: Tensor) -> Tensor:
+    """``max(sum(terms), 0)`` of one or more same-shape terms.
+
+    The terms are added left to right into one fresh buffer with the
+    first term's memory layout, which is then rectified in place, so
+    ``relu(a, b, c)`` has the bits of ``relu(add(add(a, b), c))`` and
+    allocates one array instead of three. Every term gets the same
+    gradient, ``g`` where the sum is positive and 0 elsewhere.
+    """
+    if not terms:
+        raise ShapeError("relu: no terms to rectify")
+    shape = terms[0].shape
+    for t in terms[1:]:
+        if t.shape != shape:
+            raise ShapeError(f"relu: shapes differ, {shape} vs {t.shape}")
+    first, *rest = (t.data for t in terms)
+    out = np.empty_like(first)
     # only a recorded relu reads its mask
     mask = None
-    if x.requires_grad and _tape() is not None:
-        mask = _batched(np.greater, x.data, 0.0, dtype=bool)
+    if _tape() is not None and any(t.requires_grad for t in terms):
+        mask = np.empty(shape, dtype=bool)
+
+    def rectify(s):
+        total = first[s]
+        if rest:
+            total = np.add(total, rest[0][s], out=out[s])
+            for term in rest[1:]:
+                np.add(total, term[s], out=total)
+        if mask is not None:
+            np.greater(total, 0.0, out=mask[s])
+        np.maximum(total, 0.0, out=out[s])
+
+    if out.ndim == 4:
+        _split_batch(out, rectify)
+    else:
+        rectify(...)
+    count = len(terms)
 
     def backward(g):
-        return (_batched(np.multiply, g, mask),)
+        return (_batched(np.multiply, g, mask),) * count
 
-    return _make(_batched(np.maximum, x.data, 0.0), (x,), backward)
+    return _make(out, terms, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -492,6 +537,16 @@ def _frame_windows(x: np.ndarray, k_t: int) -> np.ndarray:
     return _windows(padded, k_t)
 
 
+def _bias_column(name: str, bias: Tensor | None, c_out: int) -> np.ndarray | None:
+    """A conv's optional bias [C_out] as a [C_out, 1] column that
+    broadcasts over a slice's [n, C_out, T*V] output."""
+    if bias is None:
+        return None
+    if bias.shape != (c_out,):
+        raise ShapeError(f"{name}: bias {bias.shape} does not match {c_out} output channels")
+    return bias.data.reshape(c_out, 1)
+
+
 def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel temporal convolution, kernel [C, k_t], zero 'same' padding.
 
@@ -538,8 +593,14 @@ def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     return _make(out.reshape(shape), (x, kernel), backward)
 
 
-def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
-    """Full temporal convolution, kernel [C_out, C_in, k_t], zero 'same' padding."""
+def dense_tconv(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Full temporal convolution, kernel [C_out, C_in, k_t], zero 'same'
+    padding, plus an optional per-channel ``bias`` [C_out].
+
+    The bias is added in place into each slice of the batch right after
+    that slice's matrix product, so the result has the bits of
+    ``bias_add(dense_tconv(x, kernel), bias)`` without its extra array.
+    """
     _check_nctv("dense_tconv", x)
     if kernel.ndim != 3 or kernel.shape[1] != x.shape[1]:
         raise ShapeError(
@@ -548,6 +609,7 @@ def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     c_out, c_in, k_t = kernel.shape
     if k_t % 2 != 1:
         raise ShapeError(f"dense_tconv: kernel width {k_t} must be odd")
+    b_col = _bias_column("dense_tconv", bias, c_out)
     shape = n, _, t, v = x.shape
     # im2col: row c*k_t + i of the columns is tap i of channel c, which is
     # also the row-major order of the kernel's last two axes; each slice
@@ -559,10 +621,17 @@ def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
 
     x_data = x.data
     out = np.empty((n, c_out, t * v))
-    _split_batch(out, lambda s: np.matmul(w2, columns(x_data[s]), out=out[s]))
+
+    def forward(s):
+        np.matmul(w2, columns(x_data[s]), out=out[s])
+        if b_col is not None:
+            out[s] += b_col
+
+    _split_batch(out, forward)
     if not kernel.requires_grad:
         x_data = None
     k_data = kernel.data if x.requires_grad else None
+    b_grad = bias is not None and bias.requires_grad
 
     def backward(g):
         g3 = g.reshape(n, c_out, t * v)
@@ -582,13 +651,17 @@ def dense_tconv(x: Tensor, kernel: Tensor) -> Tensor:
 
         _split_batch(g3, part)
         return (dx.reshape(shape) if dx is not None else None,
-                dk.sum(axis=0).reshape(c_out, c_in, k_t) if dk is not None else None)
+                dk.sum(axis=0).reshape(c_out, c_in, k_t) if dk is not None else None,
+                g.sum(axis=(0, 2, 3)) if b_grad else None)
 
-    return _make(out.reshape(n, c_out, t, v), (x, kernel), backward)
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    return _make(out.reshape(n, c_out, t, v), inputs, backward)
 
 
-def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
-    """1x1 convolution: mixes channels, never frames or joints. weight [C_in, C_out]."""
+def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """1x1 convolution: mixes channels, never frames or joints. weight
+    [C_in, C_out], plus an optional per-channel ``bias`` [C_out], added
+    as in :func:`dense_tconv`."""
     _check_nctv("pointwise_conv", x)
     if weight.ndim != 2 or weight.shape[0] != x.shape[1]:
         raise ShapeError(
@@ -596,13 +669,21 @@ def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
         )
     shape = n, c, t, v = x.shape
     c_out = weight.shape[1]
+    b_col = _bias_column("pointwise_conv", bias, c_out)
     x3 = x.data.reshape(n, c, t * v)
     w_t = weight.data.T
     out = np.empty((n, c_out, t * v))
-    _split_batch(out, lambda s: np.matmul(w_t, x3[s], out=out[s]))
+
+    def forward(s):
+        np.matmul(w_t, x3[s], out=out[s])
+        if b_col is not None:
+            out[s] += b_col
+
+    _split_batch(out, forward)
     w = weight.data if x.requires_grad else None
     if not weight.requires_grad:
         x3 = None
+    b_grad = bias is not None and bias.requires_grad
 
     def backward(g):
         g3 = g.reshape(n, c_out, t * v)
@@ -618,9 +699,11 @@ def pointwise_conv(x: Tensor, weight: Tensor) -> Tensor:
 
         _split_batch(g3, part)
         return (dx.reshape(shape) if dx is not None else None,
-                dw.sum(axis=0) if dw is not None else None)
+                dw.sum(axis=0) if dw is not None else None,
+                g.sum(axis=(0, 2, 3)) if b_grad else None)
 
-    return _make(out.reshape(n, c_out, t, v), (x, weight), backward)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _make(out.reshape(n, c_out, t, v), inputs, backward)
 
 
 def spatial_aggregate(x: Tensor, adj: Tensor) -> Tensor:
@@ -699,7 +782,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     shape = n, c, t, v = x.shape
 
     def backward(g):
-        return (np.broadcast_to(g[:, :, None, None] / (t * v), shape).copy(),)
+        # a read-only view: no backward writes into its upstream gradient
+        return (np.broadcast_to(g[:, :, None, None] / (t * v), shape),)
 
     return _make(x.data.mean(axis=(2, 3)), (x,), backward)
 

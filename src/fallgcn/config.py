@@ -91,7 +91,10 @@ def load_run_config(path: str | Path | None) -> dict:
             raise ConfigError(f"{p}: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"{p}: config root must be an object")
-        _merge(cfg, user)
+        try:
+            _merge(cfg, user)
+        except ConfigError as exc:
+            raise ConfigError(f"{p}: {exc}") from None
     return cfg
 
 

@@ -102,7 +102,7 @@ class SepTcnLayer(Layer):
 
     def forward(self, x: Tensor) -> Tensor:
         h = ad.depthwise_tconv(x, self.depthwise)
-        return ad.bias_add(ad.pointwise_conv(h, self.pointwise), self.bias)
+        return ad.pointwise_conv(h, self.pointwise, self.bias)
 
 
 class DenseTcnLayer(Layer):
@@ -117,7 +117,7 @@ class DenseTcnLayer(Layer):
         self.bias = parameter(np.zeros(out_channels))
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.bias_add(ad.dense_tconv(x, self.kernel), self.bias)
+        return ad.dense_tconv(x, self.kernel, self.bias)
 
 
 def septcn_flops(c_in: int, c_out: int, t: int, v: int, k_t: int) -> tuple[int, int]:
@@ -188,6 +188,10 @@ class GstcnBlock(Layer):
     the identity otherwise. tpool (max over frames, broadcast back)
     emphasizes the most important frames. Masking touches only the
     convolutional path, never the residual.
+
+    The epilogue is computed as ``relu(tcn, res, max_pool_frames(res))``
+    with the TCN's bias added inside its last convolution: the sum is
+    ``(tcn + res) + tpool`` in one buffer, rectified in place.
     """
 
     def __init__(self, in_channels: int, out_channels: int, norm_adj: np.ndarray,
@@ -215,4 +219,4 @@ class GstcnBlock(Layer):
             h = apply_masking(h, masking, rng)
         h = self.tcn.forward(self.sgc.forward(h))
         res = x if self.proj is None else ad.pointwise_conv(x, self.proj)
-        return ad.relu(ad.add(ad.add(h, res), ad.max_pool_frames(res)))
+        return ad.relu(h, res, ad.max_pool_frames(res))

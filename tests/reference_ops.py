@@ -7,8 +7,14 @@ obviousness, not speed: one zero-filled shifted copy per temporal tap,
 channels moved last and back around the pointwise product, and a full
 copy of the pooled peak. ``test_reference_ops.py`` holds the engine's
 ops to them.
+
+``block_epilogue`` is the other kind: the end of a GSTCN block written
+as one engine op per step, the form the fused ops must equal bit for
+bit.
 """
 import numpy as np
+
+from fallgcn import autodiff as ad
 
 
 def shift_frames(x, s):
@@ -99,3 +105,11 @@ def max_pool(x, axis):
         return (dx,)
 
     return out, backward
+
+
+def block_epilogue(conv, x, weight, bias, res):
+    """``relu(add(add(bias_add(conv(x, weight), bias), res),
+    max_pool_frames(res)))`` on engine tensors: the bias, the residual
+    and its frame peak each added by an op of its own."""
+    h = ad.bias_add(conv(x, weight), bias)
+    return ad.relu(ad.add(ad.add(h, res), ad.max_pool_frames(res)))

@@ -191,6 +191,15 @@ def test_shape_errors_name_op_and_shapes():
         ad.add(a, Tensor(np.ones((2, 4))))
     with pytest.raises(ShapeError, match="pointwise_conv"):
         ad.pointwise_conv(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((4, 5))))
+    x = Tensor(np.ones((1, 3, 2, 2)))
+    with pytest.raises(ShapeError, match=r"pointwise_conv: bias \(4,\) .* 5 output"):
+        ad.pointwise_conv(x, Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match=r"dense_tconv: bias \(3,\) .* 2 output"):
+        ad.dense_tconv(x, Tensor(np.ones((2, 3, 1))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match=r"relu: shapes differ, \(2, 3\) vs \(2, 4\)"):
+        ad.relu(a, a, Tensor(np.ones((2, 4))))
+    with pytest.raises(ShapeError, match="relu: no terms"):
+        ad.relu()
 
 
 def test_grad_check_eps_validation():
@@ -223,6 +232,10 @@ def _op_cases(rng):
 
     r = parameter(rng.normal(size=(4, 5)))
     cases["relu"] = (lambda: ad.sum_all(ad.relu(r)), [r])
+    r2 = parameter(rng.normal(size=(4, 5)))
+    r3 = parameter(rng.normal(size=(4, 5)))
+    cases["relu_of_three_terms"] = (
+        lambda: ad.sum_all(ad.mul(ad.relu(r, r2, r3), r3)), [r, r2, r3])
     factor = rng.normal(size=(4, 5))
     cases["scale"] = (lambda: ad.sum_all(ad.mul(ad.scale(r, factor), r)), [r])
 
@@ -237,6 +250,16 @@ def _op_cases(rng):
 
     pw = parameter(rng.normal(size=(c, 2)))
     cases["pointwise_conv"] = (lambda: ad.sum_all(ad.pointwise_conv(x4, pw)), [x4, pw])
+
+    # square the output so the bias gradient depends on the output
+    b2 = parameter(rng.normal(size=(2,)))
+    cases["dense_tconv_bias"] = (
+        lambda: ad.sum_all(ad.mul(ad.dense_tconv(x4, dk, b2), ad.dense_tconv(x4, dk, b2))),
+        [x4, dk, b2])
+    cases["pointwise_conv_bias"] = (
+        lambda: ad.sum_all(ad.mul(ad.pointwise_conv(x4, pw, b2),
+                                  ad.pointwise_conv(x4, pw, b2))),
+        [x4, pw, b2])
 
     adj = parameter(rng.normal(size=(v, v)))
     cases["spatial_aggregate"] = (
@@ -293,6 +316,27 @@ def test_all_op_outputs_finite():
     rng = np.random.default_rng(7)
     for name, (f, _) in _op_cases(rng).items():
         assert np.isfinite(f().data).all(), name
+
+
+def test_no_backward_writes_into_its_upstream_gradient(monkeypatch):
+    # global_avg_pool hands on a read-only broadcast view, and relu one
+    # array for all its terms: a backward that wrote into its g would
+    # corrupt another input's gradient
+    record = GradTape.record
+
+    def read_only_upstream(tape, out, inputs, backward):
+        def guarded(g):
+            g = g.view()
+            g.flags.writeable = False
+            return backward(g)
+
+        record(tape, out, inputs, guarded)
+
+    monkeypatch.setattr(GradTape, "record", read_only_upstream)
+    for name, (f, params) in _op_cases(np.random.default_rng(0)).items():
+        with GradTape() as tape:
+            loss = f()
+        tape.gradients(loss, params)
 
 
 PUBLIC_OPS = frozenset(

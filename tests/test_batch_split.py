@@ -35,6 +35,10 @@ def _op_cases(rng, n, k_t):
         "pointwise_conv": (ad.pointwise_conv, [x, rng.normal(size=(C_IN, C_OUT))]),
         "depthwise_tconv": (ad.depthwise_tconv, [x, rng.normal(size=(C_IN, k_t))]),
         "dense_tconv": (ad.dense_tconv, [x, rng.normal(size=(C_OUT, C_IN, k_t))]),
+        "pointwise_conv_bias": (ad.pointwise_conv, [x, rng.normal(size=(C_IN, C_OUT)),
+                                                    rng.normal(size=C_OUT)]),
+        "dense_tconv_bias": (ad.dense_tconv, [x, rng.normal(size=(C_OUT, C_IN, k_t)),
+                                              rng.normal(size=C_OUT)]),
         "spatial_aggregate": (ad.spatial_aggregate, [x, rng.normal(size=(V, V))]),
         "add": (ad.add, [x, y]),
         "bias_add": (ad.bias_add, [x, rng.normal(size=C_IN)]),
@@ -42,6 +46,7 @@ def _op_cases(rng, n, k_t):
         "scale_per_channel": (lambda a: ad.scale(a, np.arange(1.0, C_IN + 1)[:, None, None]),
                               [x]),
         "relu": (ad.relu, [x]),
+        "relu_of_three_terms": (lambda a, b: ad.relu(a, b, ad.max_pool_frames(b)), [x, y]),
         "max_pool_frames": (ad.max_pool_frames, [x]),
         "max_pool_joints": (ad.max_pool_joints, [x]),
         # x feeds two ops, so the tape adds two [N,C,T,V] gradients
@@ -88,7 +93,8 @@ def test_elementwise_outputs_keep_numpys_memory_layout(monkeypatch):
     for got, want in [(ad.add(Tensor(x), Tensor(x)), x + x),
                       (ad.scale(Tensor(x), keep), x * keep),
                       (ad.bias_add(Tensor(x), Tensor(np.ones(C_IN))), x + 1.0),
-                      (ad.relu(Tensor(x)), np.maximum(x, 0.0))]:
+                      (ad.relu(Tensor(x)), np.maximum(x, 0.0)),
+                      (ad.relu(Tensor(x), Tensor(x), Tensor(x)), np.maximum(x + x + x, 0.0))]:
         assert got.data.strides == want.strides
 
 

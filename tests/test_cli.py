@@ -338,6 +338,18 @@ def test_unknown_config_key_named(tmp_path, capsys):
     assert "learnig_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("user, message", [
+    ({"trian": {}}, "unknown config key 'trian'"),
+    ({"train": 3}, "config key 'train' must be a section"),
+])
+def test_config_key_errors_start_with_the_path(tmp_path, user, message):
+    bad = tmp_path / "run.json"
+    bad.write_text(json.dumps(user))
+    with pytest.raises(ConfigError) as info:
+        load_run_config(bad)
+    assert str(info.value) == f"{bad}: {message}"
+
+
 def test_config_file_that_is_not_utf8_names_the_path_and_byte_offset(tmp_path):
     bad = tmp_path / "run.json"
     bad.write_bytes(b'{"train": {"seed": "\xe5"}}')

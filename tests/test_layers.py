@@ -322,6 +322,21 @@ def test_block_gradients_match_finite_differences():
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("kind, c_in, records", [
+    ("separable", 2, 9), ("separable", 4, 8), ("dense", 2, 8), ("dense", 4, 7)])
+def test_masked_block_forward_tape_record_count(kind, c_in, records):
+    # masking, the mask product, the aggregate, the embedding, the TCN
+    # (depthwise and pointwise, or dense) with its bias, the projection
+    # when the width changes, the frame pool and the epilogue relu; the
+    # composed epilogue recorded three more (bias_add and two adds)
+    rng = np.random.default_rng(13)
+    block = GstcnBlock(c_in, 4, ring_adjacency(5), rng, tcn=kind)
+    x = parameter(rng.normal(size=(2, c_in, 6, 5)))
+    with GradTape() as tape:
+        block.forward(x, MaskingConfig(0.1, 0.1), rng)
+    assert len(tape) == records
+
+
 def test_all_block_parameters_receive_gradient():
     hit = 0
     for seed in range(20):

@@ -1,7 +1,8 @@
 """The optimized [N,C,T,V] kernels against their plain reference forms
 (``reference_ops``) and against central differences, on edge shapes:
 single sample, single joint, clips shorter than the kernel, channel
-count changes, and inputs that need no gradient."""
+count changes, and inputs that need no gradient; and the fused block
+epilogue against its one-op-per-step form, bit for bit."""
 import numpy as np
 import pytest
 
@@ -107,3 +108,74 @@ def test_pointwise_conv_output_is_contiguous():
     assert out.shape == (2, 6, 4, 5)
     assert out.flags.c_contiguous
 
+
+
+@pytest.fixture(params=[(1, 1), (5, 2)], ids=["one-clip", "split-batch"])
+def batch(request, monkeypatch):
+    """A batch size, with the batch cut as it is: one clip whole, or
+    five samples in five slices that two threads take in turn."""
+    n, parts = request.param
+    monkeypatch.setattr(ad, "_BATCH_PARTS", parts)
+    monkeypatch.setattr(ad, "_MIN_SLICE_SIZE", 1)
+    return n
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _forward_and_grads(f, arrays, g):
+    """Output and every input gradient of ``f`` over parameters made
+    from ``arrays``, for the upstream gradient ``g``."""
+    inputs = [parameter(a.copy()) for a in arrays]
+    with GradTape() as tape:
+        out = f(*inputs)
+        loss = ad.sum_all(ad.mul(out, Tensor(g)))
+    return [out.data] + tape.gradients(loss, inputs)
+
+
+def _assert_same_bits(fused, composed, arrays, rng):
+    g = rng.normal(size=fused(*[Tensor(a) for a in arrays]).shape)
+    for i, (got, want) in enumerate(zip(_forward_and_grads(fused, arrays, g),
+                                        _forward_and_grads(composed, arrays, g))):
+        assert got.shape == want.shape, i
+        assert np.array_equal(_bits(got), _bits(want)), f"output {i} differs"
+
+
+@pytest.mark.parametrize("kind", ["separable", "dense"])
+def test_fused_block_epilogue_has_the_bits_of_the_composed_one(batch, kind):
+    c_in, c_out, t, v = 3, 4, 6, 5
+    rng = np.random.default_rng([batch, len(kind)])
+    conv = ad.pointwise_conv if kind == "separable" else ad.dense_tconv
+    weight = (rng.normal(size=(c_in, c_out)) if kind == "separable"
+              else rng.normal(size=(c_out, c_in, 3)))
+    # rounding makes frame ties and zero sums, where the first maximum
+    # and the mask must agree too
+    arrays = [np.round(rng.normal(size=(batch, c_in, t, v)), 1), weight,
+              rng.normal(size=c_out), np.round(rng.normal(size=(batch, c_out, t, v)), 1)]
+    _assert_same_bits(
+        lambda x, w, b, res: ad.relu(conv(x, w, b), res, ad.max_pool_frames(res)),
+        lambda x, w, b, res: ref.block_epilogue(conv, x, w, b, res),
+        arrays, rng)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_relu_of_terms_has_the_bits_of_relu_of_their_sum(batch, count):
+    rng = np.random.default_rng([batch, count])
+    arrays = [np.round(rng.normal(size=(batch, 3, 4, 2)), 1) for _ in range(count)]
+
+    def relu_of_sum(first, *rest):
+        for term in rest:
+            first = ad.add(first, term)
+        return ad.relu(first)
+
+    _assert_same_bits(ad.relu, relu_of_sum, arrays, rng)
+
+
+def test_relu_of_one_term_is_numpys_maximum(batch):
+    rng = np.random.default_rng(batch)
+    x = np.round(rng.normal(size=(batch, 3, 4, 2)), 1)
+    g = rng.normal(size=x.shape)
+    out, dx = _forward_and_grads(ad.relu, [x], g)
+    assert np.array_equal(_bits(out), _bits(np.maximum(x, 0.0)))
+    assert np.array_equal(_bits(dx), _bits(g * (x > 0.0)))
