@@ -69,6 +69,14 @@ reductions (the depthwise kernel gradient, the adjacency gradient, bias
 and weight-gradient sums over N, layer norm) stay on the caller in
 their old order.
 
+One loop, ``_run_shared``, hands work to the helper threads. The batch
+split gives it the slices of a batch; a one-clip evaluation forward
+(``ThreeStreamModel.stream_features``, no tape active) gives it its
+independent streams, so a single clip's joint and motion stacks run on
+two CPUs while each of their ops stays one plain call on whichever
+thread runs the stream. A helper never splits a batch itself, so no
+helper waits on the pool.
+
 Importing the module tunes the C allocator once: it sets
 ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's ceiling) and ``M_TRIM_THRESHOLD``
 to 1 GiB. Every op returns a fresh array of 0.1-10 MB, and glibc would
@@ -96,6 +104,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -181,42 +190,36 @@ def _parts(work: np.ndarray) -> int:
     return min(work.shape[0], _BATCH_PARTS, work.size // _MIN_SLICE_SIZE)
 
 
-def _split_batch(work: np.ndarray, fn: Callable[[slice], None]) -> None:
-    """Call ``fn(s)`` once for each slice ``s`` of a cut of the batch axis
-    (axis 0) of ``work``, the op's output or upstream gradient.
+def _run_shared(fns: Sequence[Callable[[], object]]) -> list:
+    """``[fn() for fn in fns]``, with the calls shared between the caller
+    and up to ``_BATCH_PARTS - 1`` helper threads.
 
-    ``fn`` writes the samples of ``s`` into an output the caller
-    allocated, so the result does not depend on how the batch was cut or
-    on which thread ran a slice. With :func:`_parts` above one, the batch
-    is cut into ``min(N, work.size // _MIN_SLICE_SIZE)`` slices that the
-    caller and ``_parts - 1`` helper threads take in turn, each helper in
-    a copy of the caller's context (numpy's ``errstate`` is a context
-    variable). A helper that a busy CPU holds back so delays one slice
-    rather than its share of the batch, and one that has not started
-    when the caller runs out of slices is cancelled. A slice that raises
-    does not stop the others: the first exception is raised once every
-    slice has run. ``fn`` must not split a batch itself: a helper thread
-    would wait on its own pool.
+    The threads take the calls in turn from one shared iterator, each
+    helper in a copy of the caller's context (numpy's ``errstate`` is a
+    context variable). A helper that a busy CPU holds back so delays one
+    call rather than its share of them, and one that has not started
+    when the caller runs out of calls is cancelled. A call that raises
+    does not stop the others: once every call has run, the exception of
+    the first call in ``fns`` order that raised is raised. A call must
+    not itself share work over the pool: a helper thread would wait on
+    its own pool.
     """
-    n = work.shape[0]
-    parts = _parts(work)
-    if parts <= 1:
-        fn(slice(0, n))
-        return
-    cuts = min(n, work.size // _MIN_SLICE_SIZE)
-    bounds = [n * i // cuts for i in range(cuts + 1)]
-    todo = iter([slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
-    errors: list[Exception] = []
+    helpers = min(len(fns), _BATCH_PARTS) - 1
+    if helpers <= 0:
+        return [fn() for fn in fns]
+    results: list = [None] * len(fns)
+    errors: dict[int, Exception] = {}
+    todo = iter(list(enumerate(fns)))
 
     def drain() -> None:
-        for s in todo:  # shared by the threads: each next() holds the GIL
+        for i, fn in todo:  # shared by the threads: each next() holds the GIL
             try:
-                fn(s)
+                results[i] = fn()
             except Exception as exc:
-                errors.append(exc)
+                errors[i] = exc
 
     pool = _pool()
-    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(parts - 1)]
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
     try:
         drain()
     finally:
@@ -227,7 +230,28 @@ def _split_batch(work: np.ndarray, fn: Callable[[slice], None]) -> None:
         if not future.cancelled():
             future.result()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
+    return results
+
+
+def _split_batch(work: np.ndarray, fn: Callable[[slice], None]) -> None:
+    """Call ``fn(s)`` once for each slice ``s`` of a cut of the batch axis
+    (axis 0) of ``work``, the op's output or upstream gradient.
+
+    ``fn`` writes the samples of ``s`` into an output the caller
+    allocated, so the result does not depend on how the batch was cut or
+    on which thread ran a slice. With :func:`_parts` above one, the batch
+    is cut into ``min(N, work.size // _MIN_SLICE_SIZE)`` slices that
+    :func:`_run_shared` hands to the caller and ``_parts - 1`` helper
+    threads; otherwise ``fn`` takes the whole batch on the caller.
+    """
+    n = work.shape[0]
+    if _parts(work) <= 1:
+        fn(slice(0, n))
+        return
+    cuts = min(n, work.size // _MIN_SLICE_SIZE)
+    bounds = [n * i // cuts for i in range(cuts + 1)]
+    _run_shared([partial(fn, slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def _batched(ufunc: np.ufunc, a: np.ndarray, b, dtype=np.float64) -> np.ndarray:

@@ -58,7 +58,10 @@ class JointLayout:
             seen.add(key)
             canonical.append(key)
         object.__setattr__(self, "edges", tuple(canonical))
-        if self.joint_count > 1 and not self._connected():
+        # V joints need V - 1 edges to connect; checked first, because
+        # _connected builds a list per joint
+        if self.joint_count > 1 and (len(canonical) < self.joint_count - 1
+                                     or not self._connected()):
             raise LayoutError(f"layout '{self.name}': graph is not connected")
 
     def _connected(self) -> bool:

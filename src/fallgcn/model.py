@@ -5,6 +5,7 @@ pooling and concatenation, followed by the classification head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -185,9 +186,24 @@ class ThreeStreamModel(Layer):
 
     def stream_features(self, x: Tensor, training: bool = False,
                         rng: np.random.Generator | None = None) -> list[Tensor]:
-        """Pooled per-stream feature vectors, in config stream order."""
+        """Pooled per-stream feature vectors, in config stream order.
+
+        A one-clip evaluation forward with no tape active shares its
+        streams between the caller and the batch-split helper threads
+        (``autodiff._run_shared``): a batch of one never reaches the
+        batch split, and the streams are independent. Each stream makes
+        the same ops, BLAS calls and ufunc loops on whichever thread runs
+        it, so the result has the same bits as the serial run. Training
+        draws from ``rng`` and a tape records in execution order, so both
+        run the streams serially, as does a batch of two or more, which
+        the batch split already spreads over the CPUs.
+        """
         masking = self.config.masking if training else None
-        return [self.streams[name].forward(x, masking, rng) for name in self.config.streams]
+        runs = [partial(self.streams[name].forward, x, masking, rng)
+                for name in self.config.streams]
+        if training or ad._tape() is not None or x.shape[0] != 1:
+            return [run() for run in runs]
+        return ad._run_shared(runs)
 
     def forward(self, clip, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:

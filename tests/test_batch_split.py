@@ -1,8 +1,10 @@
-"""Ops that split a batch over helper threads: every forward value and
-every gradient is bit-identical to a one-thread run, the helpers share
-the caller's floating-point error state, an error in any slice is
-raised only after every slice has run, and a batch of one or of small
-arrays never reaches the helper threads."""
+"""Ops that split a batch over helper threads, and one-clip forwards that
+share their streams with them: every forward value and every gradient is
+bit-identical to a one-thread run, the helpers share the caller's
+floating-point error state, an error in any slice or stream is raised
+only after every other one has run, no op of a one-clip forward splits,
+and small batches, training and taped forwards never reach the helper
+threads."""
 import sys
 import threading
 import time
@@ -14,7 +16,7 @@ import pytest
 from conftest import ring_adjacency, tiny_model_config
 from fallgcn import autodiff as ad
 from fallgcn.autodiff import GradTape, Tensor, parameter
-from fallgcn.model import ThreeStreamModel
+from fallgcn.model import Stream, ThreeStreamModel
 
 C_IN, C_OUT, T, V = 3, 5, 4, 3
 
@@ -106,17 +108,118 @@ def test_part_count_is_usable_cpus_over_blas_threads(monkeypatch, cpus, blas, pa
     assert ad._batch_parts() == parts
 
 
-def test_one_clip_or_small_arrays_never_reach_the_helper_threads(monkeypatch, tiny_model):
+def test_no_op_of_a_one_clip_forward_splits(monkeypatch, tiny_model):
+    seen = []
+    split_batch = ad._split_batch
+
+    def spy(work, fn):
+        seen.append(ad._parts(work))
+        split_batch(work, fn)
+
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    monkeypatch.setattr(ad, "_split_batch", spy)
+    clip = np.random.default_rng(3).normal(size=(2, 8, 5))
+    tiny_model.forward(clip)
+    tiny_model.forward(clip[None])
+    with GradTape():
+        tiny_model.forward(clip)
+    assert seen and max(seen) <= 1
+
+
+def test_small_batches_and_serial_stream_forwards_never_reach_the_helper_threads(
+        monkeypatch, tiny_model):
     def no_pool():
         raise AssertionError("the helper threads were used")
 
     monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
     monkeypatch.setattr(ad, "_pool", no_pool)
     clip = np.random.default_rng(3).normal(size=(2, 8, 5))
-    tiny_model.forward(clip)
-    tiny_model.forward(clip[None])
+    with GradTape():
+        tiny_model.forward(clip)
+    tiny_model.forward(clip, training=True, rng=np.random.default_rng(0))
     monkeypatch.setattr(ad, "_MIN_SLICE_SIZE", 1 << 17)
     tiny_model.forward(np.stack([clip] * 4))
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 1)
+    tiny_model.forward(clip)
+
+
+def _streams_meet(monkeypatch, model, on_stream=None):
+    """Make the first two streams of a forward wait for each other, so
+    the caller runs one and a helper thread the other; ``on_stream(name)``
+    runs once both have arrived. Returns {stream name: thread id}."""
+    names = {id(stream): name for name, stream in model.streams.items()}
+    first_two = set(model.config.streams[:2]) if len(model.config.streams) > 1 else set()
+    meet = threading.Barrier(2, timeout=30)
+    ran = {}
+    forward = Stream.forward
+
+    def meeting_forward(self, *args):
+        name = names[id(self)]
+        ran[name] = threading.get_ident()
+        if name in first_two:
+            meet.wait()
+        if on_stream is not None:
+            on_stream(name)
+        return forward(self, *args)
+
+    monkeypatch.setattr(Stream, "forward", meeting_forward)
+    return ran
+
+
+@pytest.mark.parametrize("tcn", ["separable", "dense"])
+@pytest.mark.parametrize("streams", [("joint", "motion", "skip"), ("skip", "joint"),
+                                     ("motion", "skip", "joint"), ("motion",)])
+def test_one_clip_streams_on_helper_threads_are_bit_identical_to_serial(
+        monkeypatch, tcn, streams):
+    model = ThreeStreamModel(tiny_model_config(tcn=tcn, streams=streams), ring_adjacency(5))
+    clips = np.random.default_rng(17).normal(size=(6, 2, 8, 5))
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 1)
+    serial = [model.forward(c).data for c in clips]
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    shared = [model.forward(c).data for c in clips]
+    ran = _streams_meet(monkeypatch, model)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        met = [model.forward(c).data for c in clips]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(ran.values())) == min(2, len(streams))
+    for want, *got in zip(serial, shared, met):
+        for g in got:
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_stream_that_raises_on_a_helper_is_raised_after_the_others_finish(
+        monkeypatch, tiny_model):
+    caller = threading.get_ident()
+    done = []
+
+    def fail_on_helper(name):
+        if threading.get_ident() != caller:
+            raise ValueError(f"stream {name}")
+        time.sleep(0.2)
+        done.append(name)
+
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    ran = _streams_meet(monkeypatch, tiny_model, fail_on_helper)
+    with pytest.raises(ValueError, match="stream (joint|motion)"):
+        tiny_model.forward(np.ones((2, 8, 5)))
+    helper_ran = {name for name, ident in ran.items() if ident != caller}
+    assert len(helper_ran & {"joint", "motion"}) == 1
+    assert set(done) == {"joint", "motion", "skip"} - helper_ran
+
+
+def test_a_stream_on_a_helper_runs_under_the_callers_error_state(monkeypatch, tiny_model):
+    seen = {}
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    _streams_meet(monkeypatch, tiny_model,
+                  lambda name: seen.__setitem__(name, (threading.get_ident(),
+                                                       np.geterr()["divide"])))
+    with np.errstate(divide="raise"):
+        tiny_model.forward(np.ones((2, 8, 5)))
+    assert seen["joint"][0] != seen["motion"][0]
+    assert {state for _, state in seen.values()} == {"raise"}
 
 
 def test_every_slice_runs_before_an_error_is_raised(monkeypatch):

@@ -58,6 +58,19 @@ def test_invariants_enforced():
         JointLayout(name="x", joint_count=2, edges=((0, 1),), root_joint=5)
 
 
+def test_too_few_edges_for_the_joint_count_are_refused_before_any_per_joint_work(monkeypatch):
+    # a connected graph on V joints has at least V - 1 edges, so a 30-byte
+    # file declaring 10^8 joints is refused without a list per joint
+    def per_joint_walk(self):
+        raise AssertionError("the connectivity walk ran")
+
+    monkeypatch.setattr(JointLayout, "_connected", per_joint_walk)
+    with pytest.raises(LayoutError, match="layout 'a': graph is not connected"):
+        parse_layout("name a\njoints 100000000\nroot 0\n")
+    with pytest.raises(LayoutError, match="not connected"):
+        JointLayout(name="x", joint_count=4, edges=((0, 1), (1, 2)), root_joint=0)
+
+
 def test_edges_canonicalized_smaller_first():
     layout = JointLayout(name="x", joint_count=3, edges=((2, 1), (1, 0)), root_joint=0)
     assert layout.edges == ((1, 2), (0, 1))
