@@ -62,20 +62,23 @@ elements, which up to ``usable CPUs // OpenBLAS threads`` threads, the
 caller and helpers, take in turn and write into one preallocated
 output; every BLAS call and ufunc loop of a sample is the one it would
 be unsplit, so results are bit-identical however the batch was cut.
-With one usable CPU, with OpenBLAS using every CPU, with an unknown
-thread count, for a batch of one (single-clip inference) and for small
-arrays the op is one plain call on the caller's thread. The batch
-reductions (the depthwise kernel gradient, the adjacency gradient, bias
-and weight-gradient sums over N, layer norm) stay on the caller in
-their old order.
+With one usable CPU, with OpenBLAS using every CPU or with an unknown
+thread count, the slices run one after another on the caller's thread;
+a batch of one (single-clip inference) and a small array are one plain
+call. The batch reductions (the depthwise kernel gradient, the
+adjacency gradient, bias and weight-gradient sums over N, layer norm)
+stay on the caller in their old order.
 
-One loop, ``_run_shared``, hands work to the helper threads. The batch
-split gives it the slices of a batch; a one-clip evaluation forward
+One loop, ``_run_shared``, hands work to the helper threads, and it
+alone decides whether work is shared. The batch split gives it the
+slices of a batch; a one-clip evaluation forward
 (``ThreeStreamModel.stream_features``, no tape active) gives it its
-independent streams, so a single clip's joint and motion stacks run on
-two CPUs while each of their ops stays one plain call on whichever
-thread runs the stream. A helper never splits a batch itself, so no
-helper waits on the pool.
+independent streams; ``training.evaluate`` gives it whole evaluation
+batches. While a thread runs shared work, a context variable marks it,
+and any work it shares in turn runs in order on that same thread: an
+op inside an evaluation batch runs its slices one after another, so
+its temporaries stay slice-sized, and a stream of a one-clip batch
+runs after the other. So no helper ever waits on the pool.
 
 Importing the module tunes the C allocator once: it sets
 ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's ceiling) and ``M_TRIM_THRESHOLD``
@@ -163,7 +166,7 @@ def _batch_parts() -> int:
     return max(1, len(os.sched_getaffinity(0)) // blas)
 
 
-# The most threads that work on one batch; see _split_batch.
+# The most threads that share work; see _run_shared.
 _BATCH_PARTS = _batch_parts()
 # Elements a slice of the batch must cover, 1 MiB of float64: handing
 # work to a helper thread and waiting for it cost 0.2-0.6 ms on a 2-core
@@ -185,8 +188,15 @@ def _pool() -> ThreadPoolExecutor:
         return _POOL[1]
 
 
+# True on a thread while it runs shared work; see _run_shared.
+_IN_SHARED = contextvars.ContextVar("fallgcn_in_shared", default=False)
+
+
 def _parts(work: np.ndarray) -> int:
-    """Threads that work on the batch axis of ``work``."""
+    """Threads that work on the batch axis of ``work``: one inside
+    shared work."""
+    if _IN_SHARED.get():
+        return 1
     return min(work.shape[0], _BATCH_PARTS, work.size // _MIN_SLICE_SIZE)
 
 
@@ -200,23 +210,30 @@ def _run_shared(fns: Sequence[Callable[[], object]]) -> list:
     call rather than its share of them, and one that has not started
     when the caller runs out of calls is cancelled. A call that raises
     does not stop the others: once every call has run, the exception of
-    the first call in ``fns`` order that raised is raised. A call must
-    not itself share work over the pool: a helper thread would wait on
-    its own pool.
+    the first call in ``fns`` order that raised is raised.
+
+    Each thread marks itself as running shared work while it takes
+    calls, and work shared from inside shared work runs in order on the
+    calling thread: so a call may itself share work, say an op's batch
+    slices, and no helper ever waits on the pool.
     """
     helpers = min(len(fns), _BATCH_PARTS) - 1
-    if helpers <= 0:
+    if helpers <= 0 or _IN_SHARED.get():
         return [fn() for fn in fns]
     results: list = [None] * len(fns)
     errors: dict[int, Exception] = {}
     todo = iter(list(enumerate(fns)))
 
     def drain() -> None:
-        for i, fn in todo:  # shared by the threads: each next() holds the GIL
-            try:
-                results[i] = fn()
-            except Exception as exc:
-                errors[i] = exc
+        marked = _IN_SHARED.set(True)
+        try:
+            for i, fn in todo:  # shared by the threads: each next() holds the GIL
+                try:
+                    results[i] = fn()
+                except Exception as exc:
+                    errors[i] = exc
+        finally:
+            _IN_SHARED.reset(marked)
 
     pool = _pool()
     futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
@@ -240,16 +257,19 @@ def _split_batch(work: np.ndarray, fn: Callable[[slice], None]) -> None:
 
     ``fn`` writes the samples of ``s`` into an output the caller
     allocated, so the result does not depend on how the batch was cut or
-    on which thread ran a slice. With :func:`_parts` above one, the batch
-    is cut into ``min(N, work.size // _MIN_SLICE_SIZE)`` slices that
-    :func:`_run_shared` hands to the caller and ``_parts - 1`` helper
-    threads; otherwise ``fn`` takes the whole batch on the caller.
+    on which thread ran a slice. The batch is cut by size alone, into
+    ``min(N, work.size // _MIN_SLICE_SIZE)`` slices, which
+    :func:`_run_shared` shares between the caller and the helper
+    threads, or runs one after another on the caller inside shared work
+    or with one usable CPU: so an op's temporaries, such as
+    ``dense_tconv``'s stacked columns, stay slice-sized wherever it runs.
+    A batch too small to cut is one call of ``fn`` on the caller.
     """
     n = work.shape[0]
-    if _parts(work) <= 1:
+    cuts = min(n, work.size // _MIN_SLICE_SIZE)
+    if cuts <= 1:
         fn(slice(0, n))
         return
-    cuts = min(n, work.size // _MIN_SLICE_SIZE)
     bounds = [n * i // cuts for i in range(cuts + 1)]
     _run_shared([partial(fn, slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])])
 

@@ -196,7 +196,9 @@ class ThreeStreamModel(Layer):
         it, so the result has the same bits as the serial run. Training
         draws from ``rng`` and a tape records in execution order, so both
         run the streams serially, as does a batch of two or more, which
-        the batch split already spreads over the CPUs.
+        the batch split already spreads over the CPUs. Inside shared
+        work, such as one of ``evaluate``'s batches, the streams run in
+        order on that batch's thread.
         """
         masking = self.config.masking if training else None
         runs = [partial(self.streams[name].forward, x, masking, rng)

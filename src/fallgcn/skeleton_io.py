@@ -163,7 +163,7 @@ def _parse_frame(raw, layout: JointLayout, where: str) -> tuple[np.ndarray, bool
             raise ClipFormatError(f"{where}: 'valid' must be true or false, got {valid!r}")
     try:
         coords = np.asarray(joints, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ClipFormatError(f"{where}: unreadable frame coordinates ({exc})") from exc
     if coords.ndim != 2 or coords.shape[1] not in (2, 3):
         raise ClipFormatError(
@@ -197,26 +197,42 @@ def parse_sequence_records(path: str | Path, layout: JointLayout) -> dict[str, d
             if not isinstance(rec, dict) or "id" not in rec or not isinstance(
                     rec.get("frames"), list):
                 raise ClipFormatError(f"{path}:{lineno}: record needs 'id' and a 'frames' list")
-            frames = [
-                _parse_frame(f, layout, f"{path}:{lineno} (frame {i})")
-                for i, f in enumerate(rec["frames"])
-            ]
-            dims = frames[0][0].shape[1] if frames else 2
-            for i, (coords, _) in enumerate(frames):
-                if coords.shape[1] != dims:
-                    raise ClipFormatError(f"{path}:{lineno} (frame {i}): frame has "
-                                          f"{coords.shape[1]} dims, frame 0 has {dims}")
+            coords, valid = _record_arrays(rec["frames"], layout, f"{path}:{lineno}")
             if str(rec["id"]) in records:
                 raise ClipFormatError(
                     f"{path}:{lineno}: duplicate record id '{rec['id']}' "
                     f"(first seen at line {records[str(rec['id'])]['line']})"
                 )
-            records[str(rec["id"])] = {
-                "coords": np.array([c for c, _ in frames]).reshape(-1, layout.joint_count, dims),
-                "valid": np.array([v for _, v in frames], dtype=bool),
-                "line": lineno,
-            }
+            records[str(rec["id"])] = {"coords": coords, "valid": valid, "line": lineno}
     return records
+
+
+def _record_arrays(frames: list, layout: JointLayout, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """A record's coordinates [T, joints, dims] and validity mask [T].
+
+    The joints of every frame are converted in one ``np.asarray``. Only
+    when a frame object lacks ``joints`` or has a ``valid`` that is not a
+    boolean, or when the record does not convert to [T, joints, 2 or 3],
+    is each frame parsed on its own, to name the first frame at fault.
+    """
+    joints = [f.get("joints", f) if isinstance(f, dict) else f for f in frames]
+    valid = [f.get("valid", True) if isinstance(f, dict) else True for f in frames]
+    if frames and all(isinstance(v, bool) for v in valid):
+        try:
+            coords = np.asarray(joints, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            coords = None
+        if (coords is not None and coords.ndim == 3 and coords.shape[1] == layout.joint_count
+                and coords.shape[2] in (2, 3)):
+            return coords, np.array(valid, dtype=bool)
+    parsed = [_parse_frame(f, layout, f"{where} (frame {i})") for i, f in enumerate(frames)]
+    dims = parsed[0][0].shape[1] if parsed else 2
+    for i, (coords, _) in enumerate(parsed):
+        if coords.shape[1] != dims:
+            raise ClipFormatError(f"{where} (frame {i}): frame has "
+                                  f"{coords.shape[1]} dims, frame 0 has {dims}")
+    return (np.array([c for c, _ in parsed]).reshape(-1, layout.joint_count, dims),
+            np.array([v for _, v in parsed], dtype=bool))
 
 
 def write_sequences(path: str | Path, sequences: list[SkeletonSequence],

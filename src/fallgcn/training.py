@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,14 @@ from .model import ThreeStreamModel
 from .optim import SgdState, sgd_step
 from .skeleton_io import SkeletonClip, stack_clips
 
-# Clips per evaluation forward. With freed heap kept mapped (see
-# ``autodiff``) no batch size pays page faults. 128 desk clips on a 2-core
-# Xeon with 1 BLAS thread, where ``autodiff`` splits each batch over both
-# cores, ran at 230-234 clips/s in batches of 8, 263-266 in 16, 276-277 in
-# 32 and 296-309 in one batch of 128 (medians of 5, two rounds); unsplit,
-# on the same host, at 210-240, 197-206, 182-209 and 160-173. Larger
-# batches now run faster but hold more activations at once; the recorded
-# benchmark figures, peak memory included, use 16.
-EVAL_BATCH = 16
+# Clips per evaluation forward. ``evaluate`` shares whole batches between
+# the CPUs, so two batches are in memory at once. 128 desk clips on a
+# 2-core Xeon with 1 BLAS thread ran at 1264-1268 clips/s in batches of 4,
+# 1335-1339 in 8, 1304-1309 in 12 and 1370-1387 in 16 (medians of 7, two
+# rounds), against 1074-1079 in 16 when each op split its batch over both
+# cores. Peak RSS read 52, 60-61, 72-76 and 83-85 MB, against 60 MB for
+# the op split at 16: batch 8 keeps peak memory level.
+EVAL_BATCH = 8
 
 
 @dataclass
@@ -109,7 +109,16 @@ def train(model: ThreeStreamModel, train_clips: list[SkeletonClip],
 def evaluate(model: ThreeStreamModel, clips: list[SkeletonClip],
              class_names: list[str] | None = None) -> ConfusionMatrix:
     """Argmax predictions with dropout and masking disabled, in batches
-    of ``EVAL_BATCH`` clips; the model is not modified."""
+    of ``EVAL_BATCH`` clips; the model is not modified.
+
+    With no tape active the batches are shared between the caller and
+    the helper threads (``autodiff._run_shared``), and each op inside a
+    batch runs its slices in order on that batch's thread. Each batch
+    makes the same BLAS calls and ufunc loops as a serial run, so the
+    probabilities have the same bits. A batch that raises is raised
+    once every other batch has run. Under an active tape the batches run
+    in order on the caller, so the tape records keep their order.
+    """
     if not clips:
         raise ValueError("evaluate: empty clip set")
     data, labels = stack_clips(clips)
@@ -118,14 +127,20 @@ def evaluate(model: ThreeStreamModel, clips: list[SkeletonClip],
     if bad.any():
         i = int(bad.argmax())
         raise ShapeError(f"evaluate: label {int(labels[i])} of clip {i} is not a class in [0, {k})")
+    batches = [partial(_predict, model, data[start:start + EVAL_BATCH])
+               for start in range(0, len(clips), EVAL_BATCH)]
+    if ad._tape() is None:
+        preds = ad._run_shared(batches)
+    else:
+        preds = [batch() for batch in batches]
     counts = np.zeros((k, k), dtype=np.int64)
-    for start in range(0, len(clips), EVAL_BATCH):
-        batch = data[start:start + EVAL_BATCH]
-        probs = model.forward(Tensor(batch), training=False)
-        preds = probs.data.argmax(axis=1)
-        for y, p in zip(labels[start:start + EVAL_BATCH], preds):
-            counts[y, p] += 1
+    np.add.at(counts, (labels, np.concatenate(preds)), 1)
     return ConfusionMatrix(counts=counts, class_names=class_names or [])
+
+
+def _predict(model: ThreeStreamModel, batch: np.ndarray) -> np.ndarray:
+    """Argmax classes of one evaluation batch."""
+    return model.forward(Tensor(batch), training=False).data.argmax(axis=1)
 
 
 def write_history(path: str | Path, history: list[EpochRecord]) -> None:

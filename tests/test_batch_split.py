@@ -1,14 +1,16 @@
-"""Ops that split a batch over helper threads, and one-clip forwards that
-share their streams with them: every forward value and every gradient is
-bit-identical to a one-thread run, the helpers share the caller's
-floating-point error state, an error in any slice or stream is raised
-only after every other one has run, no op of a one-clip forward splits,
-and small batches, training and taped forwards never reach the helper
-threads."""
+"""Ops that split a batch over helper threads, one-clip forwards that
+share their streams with them, and ``evaluate``, which shares its
+batches: every forward value and every gradient is bit-identical to a
+one-thread run, the helpers share the caller's floating-point error
+state, an error in any slice, stream or batch is raised only after every
+other one has run, work shared from inside shared work runs in order on
+its own thread, no op of a one-clip forward splits, and small batches,
+training and taped forwards never reach the helper threads."""
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from conftest import ring_adjacency, tiny_model_config
 from fallgcn import autodiff as ad
 from fallgcn.autodiff import GradTape, Tensor, parameter
 from fallgcn.model import Stream, ThreeStreamModel
+from fallgcn.skeleton_io import SkeletonClip
+from fallgcn.training import EVAL_BATCH, evaluate
 
 C_IN, C_OUT, T, V = 3, 5, 4, 3
 
@@ -284,3 +288,108 @@ def test_concurrent_batched_inference_matches_serial(monkeypatch):
     assert len(started) == 1
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
+
+
+def _labelled_clips(n: int, seed: int) -> list[SkeletonClip]:
+    rng = np.random.default_rng(seed)
+    return [SkeletonClip(data=rng.normal(size=(2, 8, 5)), label=int(rng.integers(0, 2)))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("tcn", ["separable", "dense"])
+@pytest.mark.parametrize("n_clips", [17, 20])  # a one-clip and a partial last batch
+def test_shared_evaluate_matches_a_serial_loop_of_forwards(monkeypatch, tcn, n_clips):
+    model = ThreeStreamModel(tiny_model_config(tcn=tcn), ring_adjacency(5))
+    clips = _labelled_clips(n_clips, n_clips)
+    data = np.stack([c.data for c in clips])
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 1)
+    serial = {}
+    want = np.zeros((2, 2), dtype=np.int64)
+    for start in range(0, n_clips, EVAL_BATCH):
+        batch = data[start:start + EVAL_BATCH]
+        serial[batch.tobytes()] = probs = model.forward(Tensor(batch)).data
+        for clip, p in zip(clips[start:start + EVAL_BATCH], probs.argmax(axis=1)):
+            want[clip.label, p] += 1
+    forward = model.forward
+    seen = {}
+
+    def recording_forward(x, training=False, rng=None):
+        probs = forward(x, training=training, rng=rng)
+        seen[x.data.tobytes()] = probs.data
+        return probs
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    interval = sys.getswitchinterval()
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(ad, "_BATCH_PARTS", parts)
+        seen.clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = evaluate(model, clips).counts
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(counts, want), f"{parts} parts"
+        assert seen.keys() == serial.keys()
+        for key, probs in serial.items():
+            assert np.array_equal(seen[key].view(np.uint64), probs.view(np.uint64))
+
+
+def test_work_shared_from_a_helper_runs_in_order_on_that_thread(monkeypatch):
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    pool_calls = []
+    pool = ad._pool
+
+    def first_call_only_pool():
+        if pool_calls:  # a second caller would queue work behind busy helpers
+            raise AssertionError("shared work reached the helper threads")
+        pool_calls.append(threading.get_ident())
+        return pool()
+
+    monkeypatch.setattr(ad, "_pool", first_call_only_pool)
+    both_running = threading.Barrier(2, timeout=30)
+    slices = {}
+
+    def outer(name):
+        both_running.wait()  # so a helper thread runs one of the two calls
+        ad._split_batch(np.empty(4), lambda s: slices.setdefault(name, []).append(
+            (threading.get_ident(), s.start)))
+        return threading.get_ident()
+
+    idents = ad._run_shared([partial(outer, "a"), partial(outer, "b")])
+    assert pool_calls == [threading.get_ident()]
+    assert idents[0] != idents[1]
+    for name, ident in zip("ab", idents):
+        assert slices[name] == [(ident, 0), (ident, 1), (ident, 2), (ident, 3)]
+
+
+def test_evaluate_under_a_tape_never_reaches_the_helper_threads(monkeypatch, tiny_model):
+    def no_pool():
+        raise AssertionError("the helper threads were used")
+
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    monkeypatch.setattr(ad, "_MIN_SLICE_SIZE", 1 << 17)  # no op splits its batch
+    monkeypatch.setattr(ad, "_pool", no_pool)
+    with GradTape():
+        evaluate(tiny_model, _labelled_clips(17, 3))
+
+
+def test_every_evaluate_batch_runs_before_an_error_is_raised(monkeypatch, tiny_model):
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 3)
+    clips = _labelled_clips(3 * EVAL_BATCH, 4)
+    first = {clips[i].data[0, 0, 0]: i for i in range(0, len(clips), EVAL_BATCH)}
+    forward = tiny_model.forward
+    for failing in (0, 2 * EVAL_BATCH):  # the first batch is taken first, the last last
+        done = []
+
+        def batch_forward(x, training=False, rng=None):
+            start = first[x.data[0, 0, 0, 0]]
+            if start == failing:
+                raise ValueError(f"batch {start}")
+            time.sleep(0.2)
+            done.append(start)
+            return forward(x, training=training, rng=rng)
+
+        monkeypatch.setattr(tiny_model, "forward", batch_forward)
+        with pytest.raises(ValueError, match=f"batch {failing}"):
+            evaluate(tiny_model, clips)
+        assert sorted(done) == sorted({0, EVAL_BATCH, 2 * EVAL_BATCH} - {failing})

@@ -1,6 +1,7 @@
 """Ingestion pipeline: file formats, failed-frame filtering, windowing,
 normalization, and the stratified split."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,50 @@ def test_bad_sequence_record_names_file_line_and_frame(tmp_path, frames, frame):
     assert f"{path}:2" in str(info.value)
     if frame is not None:
         assert f"frame {frame}" in str(info.value)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("[[0.0, 0.0], [1.0]]", "unreadable frame coordinates"),
+    (f"[[1{'0' * 400}, 0], [1, 1]]", "unreadable frame coordinates .int too large"),
+    ("[[[0.0, 0.0], [1.0, 1.0]]]", r"got shape \(1, 2, 2\)"),
+    (f"[{GOOD_FRAME}, {GOOD_FRAME}]", r"got shape \(2, 2, 2\)"),
+    ("[[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]", r"got shape \(2, 4\)"),
+    ("[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]", "frame has 3 dims, frame 0 has 2"),
+    ('{"valid": false}', "frame object missing 'joints'"),
+], ids=["ragged", "huge-integer", "3-D", "3-D-two-frames", "four-coordinates", "xyz-among-xy",
+        "no-joints"])
+@pytest.mark.parametrize("at", [1, 4])  # frame 0 would set the record's dims
+def test_a_bad_frame_among_good_ones_is_named(tmp_path, bad, message, at):
+    frames = [GOOD_FRAME] * 5
+    frames[at] = bad
+    path = tmp_path / "seq.jsonl"
+    path.write_text(f'{{"id": "a", "frames": [{GOOD_FRAME}]}}\n'
+                    f'{{"id": "b", "frames": [{", ".join(frames)}]}}\n')
+    where = re.escape(f"{path}:2 (frame {at}): ")
+    with pytest.raises(ClipFormatError, match=rf"^{where}.*{message}"):
+        parse_sequence_records(path, PAIR)
+
+
+def test_a_record_of_four_coordinate_frames_names_frame_0(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    path.write_text('{"id": "a", "frames": [[[0, 0, 0, 0], [1, 1, 1, 1]], '
+                    '[[2, 2, 2, 2], [3, 3, 3, 3]]]}\n')
+    where = re.escape(f"{path}:1 (frame 0): ")
+    with pytest.raises(ClipFormatError, match=rf"^{where}.*got shape \(2, 4\)"):
+        parse_sequence_records(path, PAIR)
+
+
+def test_a_record_converted_whole_keeps_each_frames_values_and_flags(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    path.write_text('{"id": "a", "frames": [[[0, 1], [2.5, 3]], '
+                    '{"joints": [[4, 5], [6, 7]], "valid": false}, '
+                    '{"joints": [[8, 9], [1e300, -0.0]]}]}\n'
+                    '{"id": "b", "frames": []}\n')
+    records = parse_sequence_records(path, PAIR)
+    want = np.array([[[0, 1], [2.5, 3]], [[4, 5], [6, 7]], [[8, 9], [1e300, -0.0]]])
+    assert records["a"]["coords"].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert records["a"]["valid"].tolist() == [True, False, True]
+    assert records["b"]["coords"].shape == (0, 2, 2) and records["b"]["valid"].shape == (0,)
 
 
 @pytest.mark.parametrize("coords, valid", [
