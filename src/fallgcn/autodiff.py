@@ -65,9 +65,18 @@ be unsplit, so results are bit-identical however the batch was cut.
 With one usable CPU, with OpenBLAS using every CPU or with an unknown
 thread count, the slices run one after another on the caller's thread;
 a batch of one (single-clip inference) and a small array are one plain
-call. The batch reductions (the depthwise kernel gradient, the
-adjacency gradient, bias and weight-gradient sums over N, layer norm)
-stay on the caller in their old order.
+call. The global average pool's forward mean, a reduction within each
+sample, is split too, except where its batch would not be shared.
+
+A backward's batch reductions that read only the op's inputs and ``g``
+(the depthwise kernel gradient, the adjacency gradient and the bias sums
+of ``pointwise_conv`` and ``dense_tconv``) go into the same
+``_run_shared`` call as its slices, ahead of them, so one thread runs a
+reduction while another takes slices. Each is the numpy call it would be
+alone, on the same arrays, so its bits do not depend on the thread.
+What needs the slices' results, the sums over N of the per-sample
+weight and dense-kernel gradients, runs after them on the caller, as
+does layer norm.
 
 One loop, ``_run_shared``, hands work to the helper threads, and it
 alone decides whether work is shared. The batch split gives it the
@@ -168,10 +177,12 @@ def _batch_parts() -> int:
 
 # The most threads that share work; see _run_shared.
 _BATCH_PARTS = _batch_parts()
-# Elements a slice of the batch must cover, 1 MiB of float64: handing
-# work to a helper thread and waiting for it cost 0.2-0.6 ms on a 2-core
-# VM, so an add on [4, 64, 32, 9] ran in 74 us whole and 604 us split,
-# while on [32, 64, 32, 9] it ran in 791 us whole and 676 us split.
+# Elements a slice of the batch must cover, 1 MiB of float64. On a 2-core
+# VM with one BLAS thread, handing two no-op calls to _run_shared took
+# 35 us. An add on [4, 64, 32, 9] ran in 31 us whole and 67 us in two
+# slices; on [8, 64, 32, 9], just over 2^17 elements and so left whole,
+# in 78 and 85 us; on [16, 64, 32, 9], cut in two, in 172 and 158 us.
+# (Inputs not in cache, medians of 300.)
 _MIN_SLICE_SIZE = 1 << 17
 _POOL: tuple[int, ThreadPoolExecutor] | None = None
 _POOL_LOCK = threading.Lock()
@@ -251,9 +262,12 @@ def _run_shared(fns: Sequence[Callable[[], object]]) -> list:
     return results
 
 
-def _split_batch(work: np.ndarray, fn: Callable[[slice], None]) -> None:
+def _split_batch(work: np.ndarray, fn: Callable[[slice], None],
+                 *whole: Callable[[], object] | None) -> list:
     """Call ``fn(s)`` once for each slice ``s`` of a cut of the batch axis
-    (axis 0) of ``work``, the op's output or upstream gradient.
+    (axis 0) of ``work``, the op's output or upstream gradient, and each
+    of the ``whole`` calls once; return the results of ``whole`` in
+    order, None for a None call.
 
     ``fn`` writes the samples of ``s`` into an output the caller
     allocated, so the result does not depend on how the batch was cut or
@@ -264,14 +278,25 @@ def _split_batch(work: np.ndarray, fn: Callable[[slice], None]) -> None:
     or with one usable CPU: so an op's temporaries, such as
     ``dense_tconv``'s stacked columns, stay slice-sized wherever it runs.
     A batch too small to cut is one call of ``fn`` on the caller.
+
+    A ``whole`` call is one of the op's batch reductions: it reads only
+    what no slice writes, and it is the numpy call it would be on its
+    own, so it keeps its bits on any thread. It goes ahead of the slices
+    in the list :func:`_run_shared` shares, so one thread runs it while
+    the others take slices; where the slices run in order on the caller,
+    so do the reductions.
     """
     n = work.shape[0]
     cuts = min(n, work.size // _MIN_SLICE_SIZE)
     if cuts <= 1:
         fn(slice(0, n))
-        return
+        # most calls pass no reduction; skip building an empty list then
+        return [None if call is None else call() for call in whole] if whole else []
+    calls = [call for call in whole if call is not None]
     bounds = [n * i // cuts for i in range(cuts + 1)]
-    _run_shared([partial(fn, slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    done = iter(_run_shared(calls + [partial(fn, slice(lo, hi))
+                                     for lo, hi in zip(bounds[:-1], bounds[1:])]))
+    return [None if call is None else next(done) for call in whole]
 
 
 def _batched(ufunc: np.ufunc, a: np.ndarray, b, dtype=np.float64) -> np.ndarray:
@@ -623,16 +648,16 @@ def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
         windows = None
 
     def backward(g):
-        dx = None
-        if flipped is not None:
-            dx = np.empty((n, c, t * v))
-            _split_batch(dx, lambda s: np.einsum(
-                "ncit,ci->nct", _frame_windows(g[s], k_t), flipped, out=dx[s]))
-            dx = dx.reshape(shape)
-        dk = None
-        if windows is not None:
-            dk = np.einsum("ncit,nct->ci", windows, g.reshape(n, c, t * v))
-        return (dx, dk)
+        g3 = g.reshape(n, c, t * v)
+        dx = np.empty((n, c, t * v)) if flipped is not None else None
+
+        def part(s):
+            if dx is not None:
+                np.einsum("ncit,ci->nct", _frame_windows(g[s], k_t), flipped, out=dx[s])
+
+        dk, = _split_batch(g3, part, None if windows is None else
+                           partial(np.einsum, "ncit,nct->ci", windows, g3))
+        return (dx.reshape(shape) if dx is not None else None, dk)
 
     return _make(out.reshape(shape), (x, kernel), backward)
 
@@ -693,10 +718,10 @@ def dense_tconv(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor
             if dk is not None:
                 np.matmul(g3[s], columns(x_data[s]).transpose(0, 2, 1), out=dk[s])
 
-        _split_batch(g3, part)
+        db, = _split_batch(g3, part, partial(g.sum, axis=(0, 2, 3)) if b_grad else None)
         return (dx.reshape(shape) if dx is not None else None,
                 dk.sum(axis=0).reshape(c_out, c_in, k_t) if dk is not None else None,
-                g.sum(axis=(0, 2, 3)) if b_grad else None)
+                db)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(out.reshape(n, c_out, t, v), inputs, backward)
@@ -741,10 +766,10 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
             if dw is not None:
                 np.matmul(x3[s], g3[s].transpose(0, 2, 1), out=dw[s])
 
-        _split_batch(g3, part)
+        db, = _split_batch(g3, part, partial(g.sum, axis=(0, 2, 3)) if b_grad else None)
         return (dx.reshape(shape) if dx is not None else None,
                 dw.sum(axis=0) if dw is not None else None,
-                g.sum(axis=(0, 2, 3)) if b_grad else None)
+                db)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make(out.reshape(n, c_out, t, v), inputs, backward)
@@ -767,12 +792,14 @@ def spatial_aggregate(x: Tensor, adj: Tensor) -> Tensor:
     flat = x_data.reshape(-1, v) if adj.requires_grad else None
 
     def backward(g):
-        dx = None
-        if adj_data is not None:
-            dx = np.empty(shape)
-            _split_batch(dx, lambda s: np.matmul(g[s].reshape(-1, v), adj_data,
-                                                out=dx[s].reshape(-1, v)))
-        dadj = g.reshape(-1, v).T @ flat if flat is not None else None
+        dx = np.empty(shape) if adj_data is not None else None
+
+        def part(s):
+            if dx is not None:
+                np.matmul(g[s].reshape(-1, v), adj_data, out=dx[s].reshape(-1, v))
+
+        dadj, = _split_batch(g, part, None if flat is None else
+                             lambda: g.reshape(-1, v).T @ flat)
         return (dx, dadj)
 
     return _make(out, (x, adj), backward)
@@ -799,10 +826,18 @@ def _max_pool_axis(x: Tensor, axis: int, opname: str) -> Tensor:
 
     def backward(g):
         dx = np.empty(shape)
+        # g.sum(axis=2) adds the frames one after another when the joints
+        # are its inner loop, and einsum does the same in one pass, 4-5x
+        # faster at [32, 128, 32, 9]. Where the frames are the inner loop,
+        # with one joint above all, numpy sums them pairwise instead, so
+        # only g.sum keeps its bits there.
+        one_pass = axis == 2 and shape[3] > 1 and g.strides[3] == g.itemsize
 
         def part(s):
             dx[s] = 0.0
-            np.put_along_axis(dx[s], idx[s], g[s].sum(axis=axis, keepdims=True), axis=axis)
+            total = (np.einsum("nctv->ncv", g[s])[:, :, None] if one_pass
+                     else g[s].sum(axis=axis, keepdims=True))
+            np.put_along_axis(dx[s], idx[s], total, axis=axis)
 
         _split_batch(dx, part)
         return (dx,)
@@ -824,12 +859,18 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """[N, C, T, V] -> [N, C] by averaging every (frame, joint) position."""
     _check_nctv("global_avg_pool", x)
     shape = n, c, t, v = x.shape
+    data = x.data
+    if _parts(data) > 1:  # each sample's mean is its own reduction
+        out = np.empty((n, c))
+        _split_batch(data, lambda s: np.mean(data[s], axis=(2, 3), out=out[s]))
+    else:
+        out = data.mean(axis=(2, 3))
 
     def backward(g):
         # a read-only view: no backward writes into its upstream gradient
         return (np.broadcast_to(g[:, :, None, None] / (t * v), shape),)
 
-    return _make(x.data.mean(axis=(2, 3)), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

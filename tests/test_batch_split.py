@@ -1,11 +1,12 @@
-"""Ops that split a batch over helper threads, one-clip forwards that
-share their streams with them, and ``evaluate``, which shares its
-batches: every forward value and every gradient is bit-identical to a
-one-thread run, the helpers share the caller's floating-point error
-state, an error in any slice, stream or batch is raised only after every
-other one has run, work shared from inside shared work runs in order on
-its own thread, no op of a one-clip forward splits, and small batches,
-training and taped forwards never reach the helper threads."""
+"""Ops that split a batch over helper threads, with their batch
+reductions beside the slices, one-clip forwards that share their streams
+with them, and ``evaluate``, which shares its batches: every forward
+value and every gradient is bit-identical to a one-thread run, the
+helpers share the caller's floating-point error state, an error in any
+slice, reduction, stream or batch is raised only after every other one
+has run, work shared from inside shared work runs in order on its own
+thread, no op of a one-clip forward splits, and small batches, training
+and taped forwards never reach the helper threads."""
 import sys
 import threading
 import time
@@ -22,7 +23,7 @@ from fallgcn.model import Stream, ThreeStreamModel
 from fallgcn.skeleton_io import SkeletonClip
 from fallgcn.training import EVAL_BATCH, evaluate
 
-C_IN, C_OUT, T, V = 3, 5, 4, 3
+C_IN, C_OUT = 3, 5
 
 
 @pytest.fixture(autouse=True)
@@ -31,12 +32,13 @@ def split_small_arrays(monkeypatch):
     monkeypatch.setattr(ad, "_MIN_SLICE_SIZE", 1)
 
 
-def _op_cases(rng, n, k_t):
+def _op_cases(rng, n, k_t, t, v):
     """name -> (op over the tensors, input arrays); every input needs a
     gradient, so every backward output is formed."""
-    x = rng.normal(size=(n, C_IN, T, V))
-    y = rng.normal(size=(n, C_IN, T, V))
-    keep = (rng.random((n, 1, T, V)) >= 0.3) * 1.0
+    x = rng.normal(size=(n, C_IN, t, v))
+    y = rng.normal(size=(n, C_IN, t, v))
+    x[x < -1.5] = -0.0  # a signed zero that a reordered sum would lose
+    keep = (rng.random((n, 1, t, v)) >= 0.3) * 1.0
     return {
         "pointwise_conv": (ad.pointwise_conv, [x, rng.normal(size=(C_IN, C_OUT))]),
         "depthwise_tconv": (ad.depthwise_tconv, [x, rng.normal(size=(C_IN, k_t))]),
@@ -45,7 +47,7 @@ def _op_cases(rng, n, k_t):
                                                     rng.normal(size=C_OUT)]),
         "dense_tconv_bias": (ad.dense_tconv, [x, rng.normal(size=(C_OUT, C_IN, k_t)),
                                               rng.normal(size=C_OUT)]),
-        "spatial_aggregate": (ad.spatial_aggregate, [x, rng.normal(size=(V, V))]),
+        "spatial_aggregate": (ad.spatial_aggregate, [x, rng.normal(size=(v, v))]),
         "add": (ad.add, [x, y]),
         "bias_add": (ad.bias_add, [x, rng.normal(size=C_IN)]),
         "scale_per_sample": (lambda a: ad.scale(a, keep), [x]),
@@ -55,6 +57,7 @@ def _op_cases(rng, n, k_t):
         "relu_of_three_terms": (lambda a, b: ad.relu(a, b, ad.max_pool_frames(b)), [x, y]),
         "max_pool_frames": (ad.max_pool_frames, [x]),
         "max_pool_joints": (ad.max_pool_joints, [x]),
+        "global_avg_pool": (ad.global_avg_pool, [x]),
         # x feeds two ops, so the tape adds two [N,C,T,V] gradients
         "tape_accumulation": (lambda a: ad.add(ad.relu(a), ad.pointwise_conv(
             a, Tensor(np.eye(C_IN)))), [x]),
@@ -74,28 +77,80 @@ def _run(op, arrays, g_rng, transposed):
     return [out.data] + tape.gradients(loss, inputs)
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float64 bits of ``a``: unlike ``np.array_equal`` on values,
+    comparing them tells -0.0 from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("k_t", [1, 3])
 @pytest.mark.parametrize("transposed", [False, True])
-def test_split_ops_are_bit_identical_to_one_part(monkeypatch, n, k_t, transposed):
-    cases = _op_cases(np.random.default_rng([n, k_t]), n, k_t)
+@pytest.mark.parametrize("t, v", [(4, 3), (4, 1), (1, 3)])
+def test_split_ops_are_bit_identical_to_one_part(monkeypatch, n, k_t, transposed, t, v):
+    cases = _op_cases(np.random.default_rng([n, k_t, t, v]), n, k_t, t, v)
+    interval = sys.getswitchinterval()
     for name, (op, arrays) in cases.items():
         runs = []
-        for parts in (1, 2, 4):
+        for parts in (1, 2, 4):  # 4 threads on fewer cores, switching often
             monkeypatch.setattr(ad, "_BATCH_PARTS", parts)
-            runs.append(_run(op, arrays, np.random.default_rng(7), transposed))
+            sys.setswitchinterval(1e-6)
+            try:
+                runs.append(_run(op, arrays, np.random.default_rng(7), transposed))
+            finally:
+                sys.setswitchinterval(interval)
         for parts, run in zip((2, 4), runs[1:]):
             for i, (want, got) in enumerate(zip(runs[0], run)):
                 assert got.shape == want.shape
-                assert np.array_equal(got, want), f"{name}, {parts} parts, output {i}"
+                assert np.array_equal(_bits(got), _bits(want)), \
+                    f"{name}, {parts} parts, output {i}"
+
+
+def _memory_layouts(a: np.ndarray) -> dict[str, np.ndarray]:
+    """``a`` [N, C, T, V] in memory orders an upstream gradient may have."""
+    return {
+        "nctv": a,
+        "ntvc": np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+        "ncvt": np.ascontiguousarray(a.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2),
+        "fortran": np.asfortranarray(a),
+        "every_other_joint": np.repeat(a, 2, axis=3)[..., ::2],
+        "one_frame_broadcast": np.broadcast_to(a[:, :, :1], a.shape),
+    }
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 3), (3, 2, 17, 1), (2, 3, 1, 3), (2, 2, 1, 1),
+                                   (3, 4, 33, 9), (2, 3, 64, 18), (2, 3, 200, 2)])
+@pytest.mark.parametrize("parts", [1, 2])
+def test_frame_pool_gradient_has_the_bits_of_a_sum_over_frames(monkeypatch, shape, parts):
+    # one backward value per (sample, channel, joint): the frame sum of g
+    # at the frame that held the peak; V = 1 and frame-inner layouts are
+    # the ones where numpy's own sum adds the frames pairwise
+    monkeypatch.setattr(ad, "_BATCH_PARTS", parts)
+    rng = np.random.default_rng(list(shape))
+    x = rng.normal(size=shape)
+    g = rng.normal(size=shape)
+    g[g < -1.0] = -0.0
+    g[np.abs(g) < 0.2] = 0.0
+    peak = x.argmax(axis=2)[:, :, None]
+    for name, g_layout in _memory_layouts(g).items():
+        want = np.zeros(shape)
+        np.put_along_axis(want, peak, g_layout.sum(axis=2, keepdims=True), axis=2)
+        xt = parameter(x)
+        with GradTape() as tape:
+            pooled = ad.max_pool_frames(xt)
+            # an identity whose backward hands on g in its own memory order
+            out = ad._make(pooled.data, (pooled,), lambda _, g=g_layout: (g,))
+            loss = ad.sum_all(out)
+        got, = tape.gradients(loss, [xt])
+        assert np.array_equal(_bits(got), _bits(want)), name
 
 
 def test_elementwise_outputs_keep_numpys_memory_layout(monkeypatch):
     # a later matmul sums in another order when a reshape of its input
     # is a strided view rather than a contiguous copy
     monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
-    x = np.random.default_rng(5).normal(size=(4, T, V, C_IN)).transpose(0, 3, 1, 2)
-    keep = np.ones((4, 1, T, V))
+    x = np.random.default_rng(5).normal(size=(4, 4, 3, C_IN)).transpose(0, 3, 1, 2)
+    keep = np.ones((4, 1, 4, 3))
     for got, want in [(ad.add(Tensor(x), Tensor(x)), x + x),
                       (ad.scale(Tensor(x), keep), x * keep),
                       (ad.bias_add(Tensor(x), Tensor(np.ones(C_IN))), x + 1.0),
@@ -116,9 +171,9 @@ def test_no_op_of_a_one_clip_forward_splits(monkeypatch, tiny_model):
     seen = []
     split_batch = ad._split_batch
 
-    def spy(work, fn):
+    def spy(work, fn, *whole):
         seen.append(ad._parts(work))
-        split_batch(work, fn)
+        return split_batch(work, fn, *whole)
 
     monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
     monkeypatch.setattr(ad, "_split_batch", spy)
@@ -260,6 +315,76 @@ def test_parts_run_under_the_callers_error_state(monkeypatch):
     for x in (np.array([np.inf, 1.0]), np.array([1.0, np.inf])):
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             ad.scale(Tensor(x.reshape(2, 1, 1, 1)), 0.0)
+
+
+def _meeting_reductions(on_reduction):
+    """Two whole-batch calls that wait for each other, so the caller runs
+    one and a helper thread the other; each then calls
+    ``on_reduction(name)`` and returns its name."""
+    meet = threading.Barrier(2, timeout=30)
+
+    def reduction(name):
+        meet.wait()
+        on_reduction(name)
+        return name
+
+    return partial(reduction, "a"), partial(reduction, "b")
+
+
+def test_a_reduction_that_raises_on_a_helper_is_raised_after_every_slice(monkeypatch):
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    caller = threading.get_ident()
+    done = []
+
+    def fail_on_helper(name):
+        if threading.get_ident() != caller:
+            raise ValueError(f"reduction {name}")
+
+    def part(s):
+        time.sleep(0.05)
+        done.append(s.start)
+
+    with pytest.raises(ValueError, match="reduction (a|b)"):
+        ad._split_batch(np.empty(4), part, *_meeting_reductions(fail_on_helper))
+    assert sorted(done) == [0, 1, 2, 3]
+
+
+def test_a_reduction_runs_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 2)
+    seen = {}
+    reductions = _meeting_reductions(
+        lambda name: seen.__setitem__(name, (threading.get_ident(), np.geterr()["divide"])))
+    with np.errstate(divide="raise"):
+        assert ad._split_batch(np.empty(2), lambda s: None, *reductions) == ["a", "b"]
+    assert seen["a"][0] != seen["b"][0]
+    assert seen["a"][1] == seen["b"][1] == "raise"
+
+
+@pytest.mark.parametrize("parts, size", [(1, 4), (2, 4), (2, 1)])
+def test_reduction_results_come_back_in_order_with_none_kept(monkeypatch, parts, size):
+    monkeypatch.setattr(ad, "_BATCH_PARTS", parts)
+    sliced = []
+    got = ad._split_batch(np.empty(size), lambda s: sliced.append((s.start, s.stop)),
+                          None, lambda: 1.5, None, lambda: "two")
+    assert got == [None, 1.5, None, "two"]
+    assert sorted(sliced) == [(i, i + 1) for i in range(size)]
+
+
+def test_one_part_runs_every_reduction_on_the_caller(monkeypatch):
+    def no_pool():
+        raise AssertionError("the helper threads were used")
+
+    monkeypatch.setattr(ad, "_BATCH_PARTS", 1)
+    monkeypatch.setattr(ad, "_pool", no_pool)
+    rng = np.random.default_rng(9)
+    x, adj, kernel, weight, bias, dense, dense_bias = params = [
+        parameter(rng.normal(size=shape)) for shape in [
+            (4, C_IN, 4, 3), (3, 3), (C_IN, 3), (C_IN, C_OUT), C_OUT, (C_OUT, C_OUT, 3), C_OUT]]
+    with GradTape() as tape:
+        h = ad.depthwise_tconv(ad.spatial_aggregate(x, adj), kernel)
+        h = ad.dense_tconv(ad.pointwise_conv(h, weight, bias), dense, dense_bias)
+        loss = ad.sum_all(ad.global_avg_pool(ad.relu(h, ad.max_pool_frames(h))))
+    assert all(np.isfinite(g).all() for g in tape.gradients(loss, params))
 
 
 def _helper_threads() -> set[int]:
