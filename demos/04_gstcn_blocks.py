@@ -7,6 +7,7 @@ Run:  python3 demos/04_gstcn_blocks.py
 import numpy as np
 
 from fallgcn import (
+    DenseTcnLayer,
     GstcnBlock,
     MaskingConfig,
     SepTcnLayer,
@@ -15,7 +16,6 @@ from fallgcn import (
     apply_masking,
     builtin_layout,
     normalized_adjacency,
-    septcn_flops,
 )
 from fallgcn import autodiff as ad
 
@@ -54,7 +54,9 @@ print(f"Sep-TCN vs composed dense kernel: max |diff| = "
 print("\nmultiplies per output position, k_t = 3:")
 print(f"{'C':>6}{'separable':>12}{'dense':>10}{'ratio':>8}")
 for c in (16, 64, 128, 256):
-    sep, dense = septcn_flops(c, c, 1, 1, 3)
+    # each layer counts its own multiplies; t = v = 1 is one position
+    sep = SepTcnLayer(c, c, np.random.default_rng(c)).multiplies(1, 1)
+    dense = DenseTcnLayer(c, c, np.random.default_rng(c)).multiplies(1, 1)
     print(f"{c:>6}{sep:>12}{dense:>10}{dense / sep:>8.2f}")
 
 # --- block composition ---------------------------------------------------

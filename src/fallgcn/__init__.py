@@ -14,7 +14,6 @@ from .layers import (
     SepTcnLayer,
     SgcLayer,
     apply_masking,
-    septcn_flops,
 )
 from .layouts import JointLayout, builtin_layout, load_layout, resolve_layout
 from .metrics import ConfusionMatrix, MetricsReport, format_report, metrics

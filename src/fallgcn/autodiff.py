@@ -299,7 +299,7 @@ def _split_batch(work: np.ndarray, fn: Callable[[slice], None],
     return [None if call is None else next(done) for call in whole]
 
 
-def _batched(ufunc: np.ufunc, a: np.ndarray, b, dtype=np.float64) -> np.ndarray:
+def _batched(ufunc: np.ufunc, a: np.ndarray, b) -> np.ndarray:
     """``ufunc(a, b)``, split over the batch when ``a`` is [N, C, T, V].
 
     ``b`` broadcasts to ``a``'s shape; it is sliced with ``a`` when it
@@ -309,7 +309,7 @@ def _batched(ufunc: np.ufunc, a: np.ndarray, b, dtype=np.float64) -> np.ndarray:
     """
     if a.ndim != 4 or _parts(a) <= 1:
         return ufunc(a, b)
-    out = np.empty_like(a, dtype=dtype)
+    out = np.empty_like(a)
     b_batched = getattr(b, "ndim", 0) == 4 and b.shape[0] != 1
     _split_batch(out, lambda s: ufunc(a[s], b[s] if b_batched else b, out=out[s]))
     return out

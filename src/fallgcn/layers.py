@@ -4,7 +4,8 @@ GSTCN block with its residual paths, and joint/frame masking.
 
 All layer forwards take and return [N, C, T, V] tensors; frame count T
 and joint count V are preserved everywhere. Every module derives from
-:class:`Layer`, which names its parameters from its attributes.
+:class:`Layer`, which finds its parameters and multiplies by walking
+its attributes.
 """
 from __future__ import annotations
 
@@ -20,23 +21,32 @@ from .autodiff import Tensor, parameter
 class Layer:
     """A module whose trainable tensors are found by walking its attributes.
 
-    ``parameters`` visits ``vars(self)`` in the order the attributes were
-    set: a tensor with ``requires_grad`` is listed as ``prefix.attr``, a
-    held :class:`Layer` adds its own under ``prefix.attr``, and a held dict
-    adds each entry under its key alone. The names are the checkpoint
-    record names, so setting a tensor is all it takes to train and save it.
+    The walk visits ``vars(self)`` in the order the attributes were set,
+    and a held dict's entries under their keys alone. ``parameters`` lists
+    a tensor with ``requires_grad`` as ``prefix.attr`` and a held
+    :class:`Layer`'s own under ``prefix.attr``: the checkpoint record
+    names, so setting a tensor is all it takes to train and save it.
+    ``multiplies(t, v)``, those of a one-clip forward over ``t`` frames and
+    ``v`` joints, sums the held layers'; a layer that multiplies adds its own.
     """
+
+    def _members(self, prefix: str = ""):
+        for attr, value in vars(self).items():
+            for name, child in value.items() if isinstance(value, dict) else [(attr, value)]:
+                yield (f"{prefix}.{name}" if prefix else name), child
 
     def parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         out = []
-        for attr, value in vars(self).items():
-            for name, child in value.items() if isinstance(value, dict) else [(attr, value)]:
-                name = f"{prefix}.{name}" if prefix else name
-                if isinstance(child, Layer):
-                    out += child.parameters(name)
-                elif isinstance(child, Tensor) and child.requires_grad:
-                    out.append((name, child))
+        for name, child in self._members(prefix):
+            if isinstance(child, Layer):
+                out += child.parameters(name)
+            elif isinstance(child, Tensor) and child.requires_grad:
+                out.append((name, child))
         return out
+
+    def multiplies(self, t: int, v: int) -> int:
+        return sum(child.multiplies(t, v) for _, child in self._members()
+                   if isinstance(child, Layer))
 
     def param_tensors(self) -> list[Tensor]:
         return [p for _, p in self.parameters()]
@@ -52,6 +62,9 @@ class Linear(Layer):
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.bias_add(ad.matmul(x, self.weight), self.bias)
+
+    def multiplies(self, t: int, v: int) -> int:
+        return self.weight.size
 
 
 class SgcLayer(Layer):
@@ -81,13 +94,17 @@ class SgcLayer(Layer):
         effective = ad.mul(self.adjacency, self.mask)
         return ad.pointwise_conv(ad.spatial_aggregate(x, effective), self.weight)
 
+    def multiplies(self, t: int, v: int) -> int:
+        """The paper's embed-then-aggregate count; the aggregate run here is ``t·v·v·c_in``."""
+        return t * v * (self.weight.size + v * self.weight.shape[1])
+
 
 class SepTcnLayer(Layer):
     """Separable temporal convolution: depthwise k_t x 1 then pointwise 1x1.
 
     The depthwise stage never mixes channels; the pointwise stage never
-    mixes time steps. Needs k_t * C + C * C' multiplies per output
-    position instead of the dense k_t * C * C'.
+    mixes time steps. Per output position it needs k_t * C + C * C'
+    multiplies, fewer than the dense k_t * C * C' when C' > k_t / (k_t - 1).
     """
 
     def __init__(self, in_channels: int, out_channels: int,
@@ -104,6 +121,9 @@ class SepTcnLayer(Layer):
         h = ad.depthwise_tconv(x, self.depthwise)
         return ad.pointwise_conv(h, self.pointwise, self.bias)
 
+    def multiplies(self, t: int, v: int) -> int:
+        return t * v * (self.depthwise.size + self.pointwise.size)
+
 
 class DenseTcnLayer(Layer):
     """Unfactored k_t x 1 temporal convolution, the efficiency baseline."""
@@ -119,20 +139,8 @@ class DenseTcnLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return ad.dense_tconv(x, self.kernel, self.bias)
 
-
-def septcn_flops(c_in: int, c_out: int, t: int, v: int, k_t: int) -> tuple[int, int]:
-    """Multiply counts of one separable vs one dense temporal convolution.
-
-    Per output position the separable form costs k_t*c_in + c_in*c_out
-    against the dense k_t*c_in*c_out; totals scale by t*v. Separable is
-    cheaper whenever c_out > k_t / (k_t - 1); for k_t = 1 it is never
-    cheaper (the extra depthwise term has nothing to amortize).
-    """
-    if min(c_in, c_out, t, v, k_t) < 1:
-        raise ValueError("septcn_flops: all arguments must be positive")
-    separable = (k_t * c_in + c_in * c_out) * t * v
-    dense = (k_t * c_in * c_out) * t * v
-    return separable, dense
+    def multiplies(self, t: int, v: int) -> int:
+        return t * v * self.kernel.size
 
 
 def is_int(value) -> bool:
@@ -196,8 +204,6 @@ class GstcnBlock(Layer):
 
     def __init__(self, in_channels: int, out_channels: int, norm_adj: np.ndarray,
                  rng: np.random.Generator, tcn: str = "separable", kernel_t: int = 3):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.sgc = SgcLayer(in_channels, out_channels, norm_adj, rng)
         if tcn == "separable":
             self.tcn = SepTcnLayer(out_channels, out_channels, rng, kernel_t)
@@ -220,3 +226,6 @@ class GstcnBlock(Layer):
         h = self.tcn.forward(self.sgc.forward(h))
         res = x if self.proj is None else ad.pointwise_conv(x, self.proj)
         return ad.relu(h, res, ad.max_pool_frames(res))
+
+    def multiplies(self, t: int, v: int) -> int:
+        return super().multiplies(t, v) + (0 if self.proj is None else t * v * self.proj.size)

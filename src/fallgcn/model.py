@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, parameter
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .layers import GstcnBlock, Layer, Linear, MaskingConfig, is_int, is_real, septcn_flops
+from .layers import GstcnBlock, Layer, Linear, MaskingConfig, is_int, is_real
 
 STREAM_NAMES = ("joint", "motion", "skip")
 
@@ -143,6 +143,9 @@ class Stream(Layer):
             h = ad.pointwise_conv(h, self.proj)
         return ad.global_avg_pool(h)
 
+    def multiplies(self, t: int, v: int) -> int:
+        return super().multiplies(t, v) + (0 if self.proj is None else t * v * self.proj.size)
+
 
 def _build_stream(name: str, config: ModelConfig, norm_adj: np.ndarray,
                   rng: np.random.Generator) -> Stream:
@@ -238,25 +241,8 @@ def count_parameters(model: ThreeStreamModel) -> int:
 
 
 def count_flops(model: ThreeStreamModel) -> int:
-    """Multiplies in one single-clip forward pass of the paper's model:
-    SGC matmuls, temporal convolutions, residual/skip projections, and
-    the head. The SGC is counted in the paper's order, embed then
-    aggregate: ``t·v·c_in·c_out + t·v·v·c_out``. ``SgcLayer`` aggregates
-    first, so the aggregate the engine performs is ``t·v·v·c_in``."""
-    cfg = model.config
-    t, v = cfg.clip_len, cfg.joint_count
-    total = 0
-    for stream in model.streams.values():
-        for block in stream.blocks.values():
-            c_in, c_out = block.in_channels, block.out_channels
-            separable, dense = septcn_flops(c_out, c_out, t, v, cfg.kernel_t)
-            total += t * v * c_in * c_out + t * v * v * c_out  # SGC embed, aggregate
-            total += separable if cfg.tcn == "separable" else dense
-            if block.proj is not None:
-                total += t * v * c_in * c_out
-        if stream.proj is not None:
-            total += t * v * stream.proj.size
-    return total + model.head.fc1.weight.size + model.head.fc2.weight.size
+    """Multiplies of one single-clip forward: ``Layer.multiplies`` at the config's size."""
+    return model.multiplies(model.config.clip_len, model.config.joint_count)
 
 
 # --- persistence ----------------------------------------------------------

@@ -338,11 +338,15 @@ def clips_from_sequences(sequences: list[SkeletonSequence], layout: JointLayout,
     rest into clips and normalize each clip; clips in sequence order.
 
     Each step is looked up as a module global when it runs, so a wrapper
-    set on this module (``perfbench``'s tracer) sees every call. A clip
-    that ``normalize_clip`` refuses is named by sequence id and index."""
+    set on this module (``perfbench``'s tracer) sees every call. A
+    sequence with no valid frame is named by id, and a clip that
+    ``normalize_clip`` refuses by sequence id and index."""
     clips = []
     for seq in sequences:
-        for index, clip in enumerate(window_sequence(drop_invalid_frames(seq), clip_len, stride)):
+        kept = drop_invalid_frames(seq)
+        if not len(kept):
+            raise ClipFormatError(f"sequence '{seq.id}': none of its {len(seq)} frames is valid")
+        for index, clip in enumerate(window_sequence(kept, clip_len, stride)):
             try:
                 clips.append(normalize_clip(clip, layout))
             except ValueError as exc:

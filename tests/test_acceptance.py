@@ -16,7 +16,7 @@ from fallgcn.autodiff import Tensor
 from fallgcn.benchmark import benchmark_pair, welch_t_test
 from fallgcn.cli import _gradcheck_modules, main
 from fallgcn.graph import normalized_adjacency
-from fallgcn.layers import MaskingConfig, SepTcnLayer, SgcLayer, septcn_flops
+from fallgcn.layers import DenseTcnLayer, MaskingConfig, SepTcnLayer, SgcLayer
 from fallgcn.layouts import builtin_layout
 from fallgcn.metrics import ConfusionMatrix, metrics
 from fallgcn.model import (
@@ -119,7 +119,9 @@ def test_criterion_3_septcn_equivalence_and_efficiency():
         dense = ad.bias_add(ad.dense_tconv(x, Tensor(k_dense)), layer.bias).data
         worst = max(worst, float(np.abs(layer.forward(x).data - dense).max()))
     assert worst < 1e-10
-    sep, dense_count = septcn_flops(64, 64, 1, 1, 3)
+    rng = np.random.default_rng(0)
+    sep = SepTcnLayer(64, 64, rng).multiplies(1, 1)
+    dense_count = DenseTcnLayer(64, 64, rng).multiplies(1, 1)
     assert (sep, dense_count) == (4288, 12288)
     reduction = dense_count / sep
     assert reduction == pytest.approx(2.87, abs=0.01)

@@ -125,6 +125,23 @@ def test_ingest_non_finite_coordinate_names_file_line_and_frame(workspace, tmp_p
     assert "Traceback" not in err
 
 
+def test_ingest_names_the_sequence_with_no_valid_frame(workspace, tmp_path, capsys):
+    seq_path = tmp_path / "lost.jsonl"
+    still = "[" + ", ".join(["[0.0, 0.0]"] * 9) + "]"  # stick9: 9 joints
+    frames = ", ".join([f'{{"joints": {still}, "valid": false}}'] * 5)
+    seq_path.write_text(f'{{"id": "a", "label": "fall", "frames": [{frames}]}}\n')
+    manifest = tmp_path / "lost.csv"
+    write_manifest(manifest, [ManifestEntry(seq_path, "fall", "a")])
+    code = main([
+        "ingest", "--config", str(workspace / "run.json"),
+        "--manifest", str(manifest), "--out", str(tmp_path / "o.fgcn"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sequence 'a': none of its 5 frames is valid" in err
+    assert "Traceback" not in err
+
+
 def test_ingest_names_the_sequence_and_clip_whose_frame_overflows(workspace, tmp_path, capsys):
     # clip_len 16, stride 16: frame 19 of the sequence is frame 3 of clip 1
     seq_path = tmp_path / "far.jsonl"

@@ -1,7 +1,7 @@
 """Layer-level checks: the spatial graph convolution against a
 per-node brute-force aggregation loop and against the embed-first op
 composition, Sep-TCN against the equivalent rank-constrained dense
-convolution, FLOP formulas, masking, and the block composition.
+convolution, multiply counts, masking, and the block composition.
 """
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from fallgcn.layers import (
     SepTcnLayer,
     SgcLayer,
     apply_masking,
-    septcn_flops,
 )
 
 
@@ -168,26 +167,50 @@ def test_septcn_equals_rank_constrained_dense_conv():
         assert np.abs(got - dense).max() < 1e-10, f"seed {seed}"
 
 
-def test_septcn_flops_reference_numbers():
-    sep, dense = septcn_flops(64, 64, 1, 1, 3)
+def tcn_multiplies(c_in, c_out, t, v, k_t):
+    """(separable, dense) multiplies of the two temporal convolutions."""
+    rng = np.random.default_rng(0)
+    return (SepTcnLayer(c_in, c_out, rng, k_t).multiplies(t, v),
+            DenseTcnLayer(c_in, c_out, rng, k_t).multiplies(t, v))
+
+
+def test_tcn_multiplies_reference_numbers():
+    sep, dense = tcn_multiplies(64, 64, 1, 1, 3)
     assert (sep, dense) == (192 + 4096, 12288)
     assert dense / sep == pytest.approx(2.87, abs=0.01)
     # single-channel edge case: separable is costlier
-    sep1, dense1 = septcn_flops(1, 1, 1, 1, 3)
-    assert (sep1, dense1) == (4, 3)
+    assert tcn_multiplies(1, 1, 1, 1, 3) == (4, 3)
     # k_t = 1 always leaves the extra depthwise term
-    sep_k1, dense_k1 = septcn_flops(8, 16, 1, 1, 1)
+    sep_k1, dense_k1 = tcn_multiplies(8, 16, 1, 1, 1)
     assert sep_k1 == dense_k1 + 8
     # totals scale by T * V
-    sep_tv, dense_tv = septcn_flops(64, 64, 10, 18, 3)
-    assert (sep_tv, dense_tv) == (4288 * 180, 12288 * 180)
+    assert tcn_multiplies(64, 64, 10, 18, 3) == (4288 * 180, 12288 * 180)
 
 
 def test_septcn_cheaper_iff_cout_over_threshold():
     for k_t in (3, 5):
         for c_out in range(1, 6):
-            sep, dense = septcn_flops(4, c_out, 1, 1, k_t)
+            sep, dense = tcn_multiplies(4, c_out, 1, 1, k_t)
             assert (sep < dense) == (c_out > k_t / (k_t - 1))
+
+
+def test_multiplies_walks_the_layers_parameters_finds():
+    class Holder(Layer):
+        def __init__(self, rng):
+            self.first = Linear(3, 4, rng)
+            self.heads = {"a": Linear(4, 5, rng), "b": Linear(4, 2, rng)}
+            self.scale = parameter(np.ones(7))  # a bare tensor multiplies nothing
+
+    holder = Holder(np.random.default_rng(0))
+    assert holder.multiplies(8, 5) == 3 * 4 + 4 * 5 + 4 * 2
+    # a block: SGC embed and aggregate, separable TCN, projection
+    t, v = 6, 5
+    block = GstcnBlock(3, 4, ring_adjacency(v), np.random.default_rng(0))
+    sgc = t * v * (3 * 4 + v * 4)
+    assert block.multiplies(t, v) == sgc + t * v * (3 * 4 + 4 * 4) + t * v * 3 * 4
+    same = GstcnBlock(4, 4, ring_adjacency(v), np.random.default_rng(0), tcn="dense")
+    assert same.proj is None
+    assert same.multiplies(t, v) == t * v * (4 * 4 + v * 4) + t * v * 3 * 4 * 4
 
 
 def test_masking_zero_probability_and_eval_mode_are_identity():

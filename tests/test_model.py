@@ -211,39 +211,49 @@ def test_doubling_channels_changes_count_by_predicted_delta():
     assert count_parameters(m_big) - count_parameters(m_small) == delta
 
 
-def test_count_flops_closed_form_and_scaling(tiny_model):
-    cfg = tiny_model.config
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"streams": ("skip",)},
+    {"streams": ("joint", "motion")},
+    {"kernel_t": 5},
+    {"tcn": "dense"},
+], ids=["default", "skip-only", "joint-motion", "kernel5", "dense"])
+def test_count_flops_closed_form_and_scaling(overrides):
+    cfg = tiny_model_config(**overrides)
     t, v = cfg.clip_len, cfg.joint_count
     c1, c2 = cfg.channels
 
     def block_flops(ci, co):
-        total = t * v * ci * co + t * v * v * co
-        total += (cfg.kernel_t * co + co * co) * t * v
+        total = t * v * ci * co + t * v * v * co  # SGC embed, aggregate
+        if cfg.tcn == "separable":
+            total += (cfg.kernel_t * co + co * co) * t * v
+        else:
+            total += cfg.kernel_t * co * co * t * v
         if ci != co:
             total += t * v * ci * co
         return total
 
-    expected = 2 * (block_flops(cfg.dims, c1) + block_flops(c1, c2))
-    expected += t * v * cfg.dims * c2
-    expected += 3 * c2 * cfg.head_hidden + cfg.head_hidden * cfg.num_classes
-    assert count_flops(tiny_model) == expected
+    gstcn_streams = len({"joint", "motion"} & set(cfg.streams))
+    head = len(cfg.streams) * c2 * cfg.head_hidden + cfg.head_hidden * cfg.num_classes
+    expected = gstcn_streams * (block_flops(cfg.dims, c1) + block_flops(c1, c2)) + head
+    if "skip" in cfg.streams:
+        expected += t * v * cfg.dims * c2
+    model = ThreeStreamModel(cfg, ring_adjacency(v))
+    assert count_flops(model) == expected
 
-    # doubling T doubles block flops, head unchanged
-    head = 3 * c2 * cfg.head_hidden + cfg.head_hidden * cfg.num_classes
-    doubled = count_flops(ThreeStreamModel(tiny_model_config(clip_len=2 * t), ring_adjacency(v)))
-    assert doubled - head == 2 * (count_flops(tiny_model) - head)
+    # doubling T doubles every count but the head's
+    doubled = ThreeStreamModel(tiny_model_config(**overrides, clip_len=2 * t), ring_adjacency(v))
+    assert count_flops(doubled) - head == 2 * (count_flops(model) - head)
 
 
 def test_separable_model_flops_below_dense():
     sep = ThreeStreamModel(tiny_model_config(), ring_adjacency(5))
     dense = ThreeStreamModel(tiny_model_config(tcn="dense"), ring_adjacency(5))
     assert count_flops(sep) < count_flops(dense)
-    # same holds on the full-size default config
-    default_sep = ModelConfig()
-    default_dense = ModelConfig(tcn="dense")
+    # the full-size coco18 models give the paper model's counts
     adj = np.eye(18)
-    assert count_flops(ThreeStreamModel(default_sep, adj)) < count_flops(
-        ThreeStreamModel(default_dense, adj))
+    assert count_flops(ThreeStreamModel(ModelConfig(), adj)) == 95_133_824
+    assert count_flops(ThreeStreamModel(ModelConfig(tcn="dense"), adj)) == 188_178_560
 
 
 # --- end-to-end gradients --------------------------------------------------

@@ -17,6 +17,7 @@ from fallgcn.skeleton_io import (
     ManifestError,
     SkeletonClip,
     SkeletonSequence,
+    clips_from_sequences,
     drop_invalid_frames,
     load_clip_archive,
     load_sequences,
@@ -342,6 +343,14 @@ def test_window_empty_sequence_errors():
     seq = make_seq(3, valid=[False, False, False])
     with pytest.raises(ValueError, match="empty"):
         window_sequence(drop_invalid_frames(seq), 8, 4)
+
+
+def test_ingest_names_a_sequence_with_no_valid_frame():
+    good, bad = make_seq(6, seed=1), make_seq(5, valid=[False] * 5, seed=2)
+    with pytest.raises(ClipFormatError,
+                       match=r"^sequence 's2': none of its 5 frames is valid$"):
+        clips_from_sequences([good, bad], PAIR, 4, 2)
+    assert len(clips_from_sequences([good], PAIR, 4, 2)) == 2
 
 
 # --- normalization -----------------------------------------------------------
