@@ -20,19 +20,23 @@ missing one raises ``KeyError`` in every traced run.
 
 Activations keep one layout, [N, C, T, V], and the convolution kernels
 work on it natively: flattening (frame, joint) into one axis turns the
-pointwise convolution into one batched matrix product per call, the
 temporal taps into strided windows of an input padded once, and the
 dense temporal convolution into a single stacked (im2col) matrix
-product. No
-op transposes its input to another layout and back.
+product. The pointwise convolution is its one-tap case: weight W
+[C_in, C_out] is the kernel Wᵀ[:, :, None], whose columns are a reshape
+of the input, so one kernel, ``_tap_conv``, runs both. No op transposes
+its input to another layout and back.
 
 Every convolution's input gradient is its own forward run on the
 upstream gradient ``g``, with the weight transposed and the taps
-flipped: ``pointwise_conv`` multiplies ``g`` by W where the forward
-multiplies by Wᵀ, ``spatial_aggregate`` by A where it used Aᵀ, and both
-temporal convolutions slide their tap windows over ``g`` with the kernel
-reversed along k_t (``dense_tconv`` also swaps C_out and C_in). So no
-backward scatters columns back into frames.
+flipped: ``spatial_aggregate`` multiplies by A where it used Aᵀ, and the
+tap convolutions slide their windows over ``g`` with the kernel reversed
+along k_t (``_tap_conv`` also swaps C_out and C_in). So no backward
+scatters columns back into frames. ``_tap_conv`` stacks each sample's
+kernel gradient as [C_in*k_t, C_out], the columns times ``g``ᵀ, the
+orientation the pointwise weight gradient always had: in the other one
+OpenBLAS sums the pointwise gradients in another order, and the pinned
+separable desk loss moves by 1 ulp.
 
 Every op runs eagerly on numpy arrays. While a :class:`GradTape` is
 active, ops whose inputs require gradients append a record; the
@@ -69,14 +73,13 @@ call. The global average pool's forward mean, a reduction within each
 sample, is split too, except where its batch would not be shared.
 
 A backward's batch reductions that read only the op's inputs and ``g``
-(the depthwise kernel gradient, the adjacency gradient and the bias sums
-of ``pointwise_conv`` and ``dense_tconv``) go into the same
-``_run_shared`` call as its slices, ahead of them, so one thread runs a
-reduction while another takes slices. Each is the numpy call it would be
-alone, on the same arrays, so its bits do not depend on the thread.
-What needs the slices' results, the sums over N of the per-sample
-weight and dense-kernel gradients, runs after them on the caller, as
-does layer norm.
+(the depthwise kernel gradient, the adjacency gradient and the bias sum
+of ``_tap_conv``) go into the same ``_run_shared`` call as its slices,
+ahead of them, so one thread runs a reduction while another takes
+slices. Each is the numpy call it would be alone, on the same arrays, so
+its bits do not depend on the thread. What needs the slices' results,
+the sum over N of the per-sample kernel gradients, runs after them on
+the caller, as does layer norm.
 
 One loop, ``_run_shared``, hands work to the helper threads, and it
 alone decides whether work is shared. The batch split gives it the
@@ -599,21 +602,14 @@ def _windows(padded: np.ndarray, k_t: int) -> np.ndarray:
 
 
 def _frame_windows(x: np.ndarray, k_t: int) -> np.ndarray:
-    """:func:`_windows` of ``x`` [N,C,T,V] padded into a new buffer."""
+    """:func:`_windows` of ``x`` [N,C,T,V] padded into a new buffer; with
+    one tap, a reshape of ``x`` itself, since there is nothing to pad."""
     n, c, t, v = x.shape
+    if k_t == 1:
+        return x.reshape(n, c, 1, t * v)
     padded = np.empty((n, c, t + k_t - 1, v))
     _pad_frames(x, padded)
     return _windows(padded, k_t)
-
-
-def _bias_column(name: str, bias: Tensor | None, c_out: int) -> np.ndarray | None:
-    """A conv's optional bias [C_out] as a [C_out, 1] column that
-    broadcasts over a slice's [n, C_out, T*V] output."""
-    if bias is None:
-        return None
-    if bias.shape != (c_out,):
-        raise ShapeError(f"{name}: bias {bias.shape} does not match {c_out} output channels")
-    return bias.data.reshape(c_out, 1)
 
 
 def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
@@ -662,28 +658,28 @@ def depthwise_tconv(x: Tensor, kernel: Tensor) -> Tensor:
     return _make(out.reshape(shape), (x, kernel), backward)
 
 
-def dense_tconv(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Full temporal convolution, kernel [C_out, C_in, k_t], zero 'same'
-    padding, plus an optional per-channel ``bias`` [C_out].
+def _tap_conv(name: str, x: Tensor, weight: Tensor, kernel: np.ndarray,
+              bias: Tensor | None, weight_grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Convolution of ``x`` [N,C_in,T,V] over frames with ``kernel``
+    [C_out, C_in, k_t] (``weight``'s data or a view of it), zero 'same'
+    padding, plus an optional per-channel ``bias`` [C_out]: one stacked
+    (im2col) matrix product per batch slice.
 
     The bias is added in place into each slice of the batch right after
     that slice's matrix product, so the result has the bits of
-    ``bias_add(dense_tconv(x, kernel), bias)`` without its extra array.
+    ``bias_add(conv, bias)`` without its extra array. The kernel gradient
+    is stacked as [C_in*k_t, C_out], summed over the batch, and
+    ``weight_grad`` maps it to ``weight``'s shape.
     """
-    _check_nctv("dense_tconv", x)
-    if kernel.ndim != 3 or kernel.shape[1] != x.shape[1]:
-        raise ShapeError(
-            f"dense_tconv: kernel {kernel.shape} does not match input {x.shape}"
-        )
     c_out, c_in, k_t = kernel.shape
-    if k_t % 2 != 1:
-        raise ShapeError(f"dense_tconv: kernel width {k_t} must be odd")
-    b_col = _bias_column("dense_tconv", bias, c_out)
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"{name}: bias {bias.shape} does not match {c_out} output channels")
+    b_col = None if bias is None else bias.data.reshape(c_out, 1)
     shape = n, _, t, v = x.shape
     # im2col: row c*k_t + i of the columns is tap i of channel c, which is
     # also the row-major order of the kernel's last two axes; each slice
     # builds the columns of its own samples only
-    w2 = kernel.data.reshape(c_out, c_in * k_t)
+    w2 = kernel.reshape(c_out, c_in * k_t)
 
     def columns(part: np.ndarray) -> np.ndarray:
         return _frame_windows(part, k_t).reshape(len(part), -1, t * v)
@@ -697,9 +693,9 @@ def dense_tconv(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor
             out[s] += b_col
 
     _split_batch(out, forward)
-    if not kernel.requires_grad:
+    if not weight.requires_grad:
         x_data = None
-    k_data = kernel.data if x.requires_grad else None
+    k_data = kernel if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
 
     def backward(g):
@@ -710,69 +706,50 @@ def dense_tconv(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor
             w2_flip = k_data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k_t)
             dx = np.empty((n, c_in, t * v))
         if x_data is not None:
-            dk = np.empty((n, c_out, c_in * k_t))
+            # per-sample kernel gradients, summed over the batch below
+            dk = np.empty((n, c_in * k_t, c_out))
 
         def part(s):
             if dx is not None:
                 np.matmul(w2_flip, columns(g[s]), out=dx[s])
             if dk is not None:
-                np.matmul(g3[s], columns(x_data[s]).transpose(0, 2, 1), out=dk[s])
+                np.matmul(columns(x_data[s]), g3[s].transpose(0, 2, 1), out=dk[s])
 
         db, = _split_batch(g3, part, partial(g.sum, axis=(0, 2, 3)) if b_grad else None)
         return (dx.reshape(shape) if dx is not None else None,
-                dk.sum(axis=0).reshape(c_out, c_in, k_t) if dk is not None else None,
+                weight_grad(dk.sum(axis=0)) if dk is not None else None,
                 db)
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make(out.reshape(n, c_out, t, v), inputs, backward)
+
+
+def dense_tconv(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Full temporal convolution, kernel [C_out, C_in, k_t], zero 'same'
+    padding, plus an optional per-channel ``bias`` [C_out]."""
+    _check_nctv("dense_tconv", x)
+    if kernel.ndim != 3 or kernel.shape[1] != x.shape[1]:
+        raise ShapeError(
+            f"dense_tconv: kernel {kernel.shape} does not match input {x.shape}"
+        )
+    c_out, c_in, k_t = kernel.shape
+    if k_t % 2 != 1:
+        raise ShapeError(f"dense_tconv: kernel width {k_t} must be odd")
+    return _tap_conv("dense_tconv", x, kernel, kernel.data, bias,
+                     lambda dk: dk.T.reshape(c_out, c_in, k_t))
 
 
 def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """1x1 convolution: mixes channels, never frames or joints. weight
-    [C_in, C_out], plus an optional per-channel ``bias`` [C_out], added
-    as in :func:`dense_tconv`."""
+    [C_in, C_out], plus an optional per-channel ``bias`` [C_out]."""
     _check_nctv("pointwise_conv", x)
     if weight.ndim != 2 or weight.shape[0] != x.shape[1]:
         raise ShapeError(
             f"pointwise_conv: weight {weight.shape} does not match input {x.shape}"
         )
-    shape = n, c, t, v = x.shape
-    c_out = weight.shape[1]
-    b_col = _bias_column("pointwise_conv", bias, c_out)
-    x3 = x.data.reshape(n, c, t * v)
-    w_t = weight.data.T
-    out = np.empty((n, c_out, t * v))
-
-    def forward(s):
-        np.matmul(w_t, x3[s], out=out[s])
-        if b_col is not None:
-            out[s] += b_col
-
-    _split_batch(out, forward)
-    w = weight.data if x.requires_grad else None
-    if not weight.requires_grad:
-        x3 = None
-    b_grad = bias is not None and bias.requires_grad
-
-    def backward(g):
-        g3 = g.reshape(n, c_out, t * v)
-        dx = np.empty((n, c, t * v)) if w is not None else None
-        # per-sample weight gradients, summed over the batch below
-        dw = np.empty((n, c, c_out)) if x3 is not None else None
-
-        def part(s):
-            if dx is not None:
-                np.matmul(w, g3[s], out=dx[s])
-            if dw is not None:
-                np.matmul(x3[s], g3[s].transpose(0, 2, 1), out=dw[s])
-
-        db, = _split_batch(g3, part, partial(g.sum, axis=(0, 2, 3)) if b_grad else None)
-        return (dx.reshape(shape) if dx is not None else None,
-                dw.sum(axis=0) if dw is not None else None,
-                db)
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out.reshape(n, c_out, t, v), inputs, backward)
+    # the one-tap kernel [C_out, C_in, 1], whose stacked gradient is weight's
+    return _tap_conv("pointwise_conv", x, weight, weight.data.T[:, :, None], bias,
+                     lambda dk: dk)
 
 
 def spatial_aggregate(x: Tensor, adj: Tensor) -> Tensor:

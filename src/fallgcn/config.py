@@ -1,8 +1,9 @@
 """Run configuration: one JSON file holding data, model, masking, and
 training settings. Unknown keys are rejected by name so typos never
-silently fall back to defaults. The model, masking and train sections
-take their keys and defaults from ``ModelConfig``, ``MaskingConfig`` and
-``Hyperparams``.
+silently fall back to defaults, and a data or output setting of the
+wrong type by its dotted key. The model, masking and train sections take their keys
+and defaults from ``ModelConfig``, ``MaskingConfig`` and
+``Hyperparams``, which check their values.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from .layers import MaskingConfig
+from .layers import MaskingConfig, is_int, is_real
 from .layouts import JointLayout, open_utf8
 from .model import ModelConfig
 from .skeleton_io import SkeletonClip
@@ -60,8 +61,34 @@ DEFAULTS: dict = {
 }
 
 
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_text_or_null(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+# What each data and output setting must be: the model, masking and train
+# sections are checked by their dataclasses, these by load_run_config. A
+# path that is not a string would reach open() as a file descriptor.
+_SETTING_TYPES = {
+    "data": {
+        "layout": (_is_text, "a string"),
+        "manifest": (_is_text_or_null, "a string or null"),
+        "archive": (_is_text_or_null, "a string or null"),
+        "clip_len": (is_int, "an integer"),
+        "stride": (is_int, "an integer"),
+        "train_fraction": (is_real, "a number"),
+        "split_seed": (is_int, "an integer"),
+    },
+    "out": {key: (_is_text, "a string") for key in DEFAULTS["out"]},
+}
+
+
 class ConfigError(ValueError):
-    """Raised for unknown keys or unreadable config files."""
+    """Raised for unknown keys, settings of the wrong type or unreadable
+    config files."""
 
 
 def _merge(base: dict, override: dict, path: str = "") -> None:
@@ -93,6 +120,12 @@ def load_run_config(path: str | Path | None) -> dict:
             raise ConfigError(f"{p}: config root must be an object")
         try:
             _merge(cfg, user)
+            for section, types in _SETTING_TYPES.items():
+                for key, (valid, kind) in types.items():
+                    value = cfg[section][key]
+                    if not valid(value):
+                        raise ConfigError(f"config key '{section}.{key}' must be {kind}, "
+                                          f"got {value!r}")
         except ConfigError as exc:
             raise ConfigError(f"{p}: {exc}") from None
     return cfg

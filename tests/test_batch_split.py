@@ -106,6 +106,35 @@ def test_split_ops_are_bit_identical_to_one_part(monkeypatch, n, k_t, transposed
                     f"{name}, {parts} parts, output {i}"
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("pooled", [False, True])
+def test_pointwise_conv_is_a_one_tap_dense_tconv(monkeypatch, parts, pooled):
+    # the two ops share one kernel: weight W [C_in, C_out] is the one-tap
+    # kernel W.T[:, :, None]; a pooled output hands the conv global_avg_pool's
+    # zero-stride gradient, as the skip stream's projection gets it
+    monkeypatch.setattr(ad, "_BATCH_PARTS", parts)
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(3, C_IN, 4, 3))
+    x[x < -1.5] = -0.0
+    w, b = rng.normal(size=(C_IN, C_OUT)), rng.normal(size=C_OUT)
+
+    def run(conv, weight):
+        inputs = [parameter(x), parameter(weight), parameter(b)]
+        with GradTape() as tape:
+            out = conv(*inputs)
+            head = ad.global_avg_pool(out) if pooled else out
+            loss = ad.sum_all(ad.mul(head, Tensor(np.random.default_rng(7).normal(
+                size=head.shape))))
+        return [out.data] + tape.gradients(loss, inputs)
+
+    pointwise = run(ad.pointwise_conv, w)
+    dense = run(ad.dense_tconv, w.T[:, :, None])
+    dense[2] = dense[2][:, :, 0].T
+    for i, (want, got) in enumerate(zip(pointwise, dense)):
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want)), f"output {i}"
+
+
 def _memory_layouts(a: np.ndarray) -> dict[str, np.ndarray]:
     """``a`` [N, C, T, V] in memory orders an upstream gradient may have."""
     return {

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fallgcn import cli
 from fallgcn.cli import build_parser, main
 from fallgcn.config import ARCHIVE_FIELDS, ConfigError, load_run_config
 from fallgcn.layers import MaskingConfig
@@ -338,11 +339,46 @@ def test_bench_reports_both_variants(workspace, capsys):
     assert np.isfinite(payload["welch_t"])
 
 
-def test_gradcheck_command_passes(capsys):
+def test_gradcheck_command_passes(monkeypatch, capsys):
+    # the checks themselves run in the acceptance tests; this one reads the
+    # command's report and exit code on given errors
+    seeds, results = [], [("sgc", 3e-9), ("three_stream_model", 2e-6)]
+    monkeypatch.setattr(cli, "_gradcheck_modules", lambda seed: seeds.append(seed) or results)
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "three_stream_model" in out
+    assert "three_stream_model   max relative error 2.000e-06  ok" in out
     assert "FAIL" not in out
+    results.append(("dense_tcn", cli.GRADCHECK_TOLERANCE))
+    assert main(["gradcheck", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "dense_tcn            max relative error 1.000e-04  FAIL" in captured.out
+    assert captured.out.count("  ok") == 2
+    assert captured.err == "error: gradcheck: at least one module at or above 0.0001\n"
+    assert seeds == [0, 3]
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("ingest", "data", "clip_len", "32"),
+    ("ingest", "data", "stride", 8.0),
+    ("ingest", "data", "layout", 5),
+    ("ingest", "data", "manifest", ["manifest.csv"]),
+    ("train", "data", "train_fraction", "0.9"),
+    ("train", "data", "split_seed", 1.5),
+    ("train", "data", "archive", True),
+    ("train", "out", "history", 1),
+    ("ingest", "out", "archive", None),
+])
+def test_setting_of_the_wrong_type_names_file_and_key(workspace, tmp_path, capsys,
+                                                      command, section, key, value):
+    config = json.loads((workspace / "run.json").read_text())
+    config[section][key] = value
+    bad = tmp_path / "run.json"
+    bad.write_text(json.dumps(config))
+    assert main([command, "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: config key '{section}.{key}' must be ")
+    assert f"got {value!r}" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_config_key_named(tmp_path, capsys):
@@ -419,10 +455,12 @@ def test_removed_masking_seed_key_is_rejected(tmp_path):
         load_run_config(old)
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
+    saved = tmp_path / "report.json"
+    saved.write_text(json.dumps({"class_names": ["fall", "walk"], "confusion": [[3, 1], [0, 4]]}))
     proc = subprocess.run(
-        [sys.executable, "-m", "fallgcn.cli", "gradcheck"],
+        [sys.executable, "-m", "fallgcn.cli", "report", "--metrics", str(saved)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "ok" in proc.stdout
+    assert "Average" in proc.stdout

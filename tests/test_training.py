@@ -104,10 +104,10 @@ def test_bit_identical_history_across_runs():
         assert np.array_equal(a, b)
 
 
-def desk_model() -> ThreeStreamModel:
+def desk_model(tcn: str = "separable") -> ThreeStreamModel:
     """Desk-size model: stick9 (V=9), T=32, channels 64/128, masking on."""
     cfg = ModelConfig(dims=2, clip_len=32, joint_count=9, num_classes=2,
-                      masking=MaskingConfig(0.1, 0.1), layout_name="stick9")
+                      masking=MaskingConfig(0.1, 0.1), tcn=tcn, layout_name="stick9")
     return ThreeStreamModel(cfg, normalized_adjacency(builtin_layout("stick9")))
 
 
@@ -119,6 +119,15 @@ def test_desk_training_loss_bits_are_pinned():
     history = train(desk_model(), train_clips, val_clips, Hyperparams(epochs=2, seed=0))
     assert [h.train_loss.hex() for h in history] == [
         "0x1.754daf91e1528p+0", "0x1.2798d2210e2f3p-1"]
+
+
+def test_desk_dense_training_loss_bits_are_pinned():
+    # the dense twin: the only pin of dense_tconv's kernel gradient, whose
+    # stack over the batch is [C_in*k_t, C_out], as pointwise_conv's is
+    train_clips, val_clips = make_dataset(n_per_class=60, seed=0)
+    history = train(desk_model("dense"), train_clips, val_clips, Hyperparams(epochs=2, seed=0))
+    assert [h.train_loss.hex() for h in history] == [
+        "0x1.43f4f36404212p-1", "0x1.dd429506651a0p-1"]
 
 
 def test_desk_train_step_memory_is_what_backward_reads():
