@@ -12,11 +12,11 @@ dense temporal and the pointwise convolution take an optional bias,
 added in place into each slice of their output, and ``relu(*terms)``
 adds its terms left to right into one buffer before rectifying it. Each
 addition is the one ``relu(add(add(bias_add(conv), res), pool))`` would
-make, so the bits are the same. ``add``, ``bias_add``, ``mul`` and
-``max_pool_joints`` must stay defined even where the model no longer
-calls them: ``perfbench/tracing.py`` wraps every op named in its
-``TRACED_OPS`` by reading it from this module's namespace, and a
-missing one raises ``KeyError`` in every traced run.
+make, so the bits are the same. ``add`` and ``max_pool_joints`` must
+stay defined though the model no longer calls them:
+``perfbench/tracing.py`` wraps every op named in its ``TRACED_OPS`` by
+reading it from this module's namespace, and a missing one raises
+``KeyError`` in every traced run.
 
 Activations keep one layout, [N, C, T, V], and the convolution kernels
 work on it natively: flattening (frame, joint) into one axis turns the
@@ -59,18 +59,18 @@ reductions, so each per-sample computation is split over the batch:
 the pointwise, depthwise and dense temporal convolutions and the
 spatial aggregation (forward and input gradient, plus the per-sample
 weight-gradient stacks, the bias added into a convolution's output),
-the frame/joint max pools, add, bias_add, scale, relu, and the tape's
-sum of two [N, C, T, V] gradients. The
-batch is cut into contiguous slices of at least ``_MIN_SLICE_SIZE``
-elements, which up to ``usable CPUs // OpenBLAS threads`` threads, the
-caller and helpers, take in turn and write into one preallocated
-output; every BLAS call and ufunc loop of a sample is the one it would
-be unsplit, so results are bit-identical however the batch was cut.
-With one usable CPU, with OpenBLAS using every CPU or with an unknown
-thread count, the slices run one after another on the caller's thread;
-a batch of one (single-clip inference) and a small array are one plain
-call. The global average pool's forward mean, a reduction within each
-sample, is split too, except where its batch would not be shared.
+the frame/joint max pools, the global average pool's forward mean (a
+reduction within each sample), add, bias_add, scale, relu, and the
+tape's sum of two gradients. One function, ``_split_batch``, cuts the
+batch, by size alone, into contiguous slices of at least
+``_MIN_SLICE_SIZE`` elements, which up to ``usable CPUs // OpenBLAS
+threads`` threads, the caller and helpers, take in turn and write into
+one preallocated output; every BLAS call and ufunc loop of a sample is
+the one it would be unsplit, so results are bit-identical however the
+batch was cut. With one usable CPU, with OpenBLAS using every CPU or
+with an unknown thread count, the slices run one after another on the
+caller's thread; a batch of one (single-clip inference) and a small
+array are one call on the whole array.
 
 A backward's batch reductions that read only the op's inputs and ``g``
 (the depthwise kernel gradient, the adjacency gradient and the bias sum
@@ -120,6 +120,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
+from types import EllipsisType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,14 +207,6 @@ def _pool() -> ThreadPoolExecutor:
 _IN_SHARED = contextvars.ContextVar("fallgcn_in_shared", default=False)
 
 
-def _parts(work: np.ndarray) -> int:
-    """Threads that work on the batch axis of ``work``: one inside
-    shared work."""
-    if _IN_SHARED.get():
-        return 1
-    return min(work.shape[0], _BATCH_PARTS, work.size // _MIN_SLICE_SIZE)
-
-
 def _run_shared(fns: Sequence[Callable[[], object]]) -> list:
     """``[fn() for fn in fns]``, with the calls shared between the caller
     and up to ``_BATCH_PARTS - 1`` helper threads.
@@ -265,7 +258,7 @@ def _run_shared(fns: Sequence[Callable[[], object]]) -> list:
     return results
 
 
-def _split_batch(work: np.ndarray, fn: Callable[[slice], None],
+def _split_batch(work: np.ndarray, fn: Callable[[slice | EllipsisType], None],
                  *whole: Callable[[], object] | None) -> list:
     """Call ``fn(s)`` once for each slice ``s`` of a cut of the batch axis
     (axis 0) of ``work``, the op's output or upstream gradient, and each
@@ -280,7 +273,7 @@ def _split_batch(work: np.ndarray, fn: Callable[[slice], None],
     threads, or runs one after another on the caller inside shared work
     or with one usable CPU: so an op's temporaries, such as
     ``dense_tconv``'s stacked columns, stay slice-sized wherever it runs.
-    A batch too small to cut is one call of ``fn`` on the caller.
+    A batch too small to cut, or a 0-d ``work``, is one ``fn(...)`` call.
 
     A ``whole`` call is one of the op's batch reductions: it reads only
     what no slice writes, and it is the numpy call it would be on its
@@ -289,10 +282,10 @@ def _split_batch(work: np.ndarray, fn: Callable[[slice], None],
     the others take slices; where the slices run in order on the caller,
     so do the reductions.
     """
-    n = work.shape[0]
+    n = work.shape[0] if work.ndim else 1
     cuts = min(n, work.size // _MIN_SLICE_SIZE)
     if cuts <= 1:
-        fn(slice(0, n))
+        fn(...)
         # most calls pass no reduction; skip building an empty list then
         return [None if call is None else call() for call in whole] if whole else []
     calls = [call for call in whole if call is not None]
@@ -303,17 +296,14 @@ def _split_batch(work: np.ndarray, fn: Callable[[slice], None],
 
 
 def _batched(ufunc: np.ufunc, a: np.ndarray, b) -> np.ndarray:
-    """``ufunc(a, b)``, split over the batch when ``a`` is [N, C, T, V].
+    """``ufunc(a, b)``, split over the batch (axis 0) of ``a``.
 
-    ``b`` broadcasts to ``a``'s shape; it is sliced with ``a`` when it
-    has a batch axis of its own. With one thread this is the plain ufunc
-    call; a split result has ``a``'s memory layout, as numpy's own output
-    would: a later matmul's summation order depends on it.
+    ``b`` broadcasts to ``a``'s shape and is sliced with ``a`` when it
+    has a batch axis of its own. The result has ``a``'s memory layout,
+    as numpy's own would have: a later matmul's sum order depends on it.
     """
-    if a.ndim != 4 or _parts(a) <= 1:
-        return ufunc(a, b)
     out = np.empty_like(a)
-    b_batched = getattr(b, "ndim", 0) == 4 and b.shape[0] != 1
+    b_batched = getattr(b, "ndim", 0) == a.ndim > 0 and b.shape[0] != 1
     _split_batch(out, lambda s: ufunc(a[s], b[s] if b_batched else b, out=out[s]))
     return out
 
@@ -548,10 +538,7 @@ def relu(*terms: Tensor) -> Tensor:
             np.greater(total, 0.0, out=mask[s])
         np.maximum(total, 0.0, out=out[s])
 
-    if out.ndim == 4:
-        _split_batch(out, rectify)
-    else:
-        rectify(...)
+    _split_batch(out, rectify)
     count = len(terms)
 
     def backward(g):
@@ -837,11 +824,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     _check_nctv("global_avg_pool", x)
     shape = n, c, t, v = x.shape
     data = x.data
-    if _parts(data) > 1:  # each sample's mean is its own reduction
-        out = np.empty((n, c))
-        _split_batch(data, lambda s: np.mean(data[s], axis=(2, 3), out=out[s]))
-    else:
-        out = data.mean(axis=(2, 3))
+    out = np.empty((n, c))
+    # each sample's mean is its own reduction
+    _split_batch(data, lambda s: np.mean(data[s], axis=(2, 3), out=out[s]))
 
     def backward(g):
         # a read-only view: no backward writes into its upstream gradient

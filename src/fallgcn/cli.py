@@ -150,12 +150,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         payload = json.loads(Path(args.metrics).read_text())
-        cm = ConfusionMatrix(
-            counts=np.array(payload["confusion"]), class_names=payload["class_names"]
-        )
+        report = metrics(ConfusionMatrix(counts=payload["confusion"],
+                                         class_names=payload["class_names"]))
     except (OSError, KeyError, ValueError) as exc:
         return _fail(f"report: unreadable metrics file {args.metrics}: {exc}")
-    print(format_report(metrics(cm), args.format))
+    print(format_report(report, args.format))
     return 0
 
 

@@ -3,7 +3,8 @@ training settings. Unknown keys are rejected by name so typos never
 silently fall back to defaults, and a data or output setting of the
 wrong type by its dotted key. The model, masking and train sections take their keys
 and defaults from ``ModelConfig``, ``MaskingConfig`` and
-``Hyperparams``, which check their values.
+``Hyperparams``, which check their values when the file loads, so every
+command refuses a bad value with the file and section named.
 """
 from __future__ import annotations
 
@@ -86,9 +87,14 @@ _SETTING_TYPES = {
 }
 
 
+# The dataclass that checks each setting of a section; the model section
+# is built with the archive fields and the masking at their defaults.
+_SECTION_CLASSES = {"model": ModelConfig, "masking": MaskingConfig, "train": Hyperparams}
+
+
 class ConfigError(ValueError):
-    """Raised for unknown keys, settings of the wrong type or unreadable
-    config files."""
+    """Raised for unknown keys, settings of the wrong type, values that a
+    section's dataclass refuses or unreadable config files."""
 
 
 def _merge(base: dict, override: dict, path: str = "") -> None:
@@ -126,6 +132,11 @@ def load_run_config(path: str | Path | None) -> dict:
                     if not valid(value):
                         raise ConfigError(f"config key '{section}.{key}' must be {kind}, "
                                           f"got {value!r}")
+            for section, cls in _SECTION_CLASSES.items():
+                try:
+                    cls(**cfg[section])
+                except ValueError as exc:
+                    raise ConfigError(f"config section '{section}': {exc}") from None
         except ConfigError as exc:
             raise ConfigError(f"{p}: {exc}") from None
     return cfg

@@ -9,22 +9,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import is_int
+
+_MAX_COUNT = np.iinfo(np.int64).max
+
 
 @dataclass
 class ConfusionMatrix:
-    """counts[i, j] = clips of true class i predicted as class j."""
+    """counts[i, j] = clips of true class i predicted as class j.
+
+    ``counts`` is an integer array or nested lists, as a saved report
+    holds them; a count that is a bool, a float, a string or out of the
+    int64 range is refused rather than cast, as is a class name that is
+    not a string.
+    """
 
     counts: np.ndarray
     class_names: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        # as Python objects, so that True, 1.7 and "3" are not cast to 1, 1, 3
+        cells = np.asarray(self.counts, dtype=object)
+        bad = [c for c in cells.flat if not (is_int(c) and 0 <= c <= _MAX_COUNT)]
+        if bad:
+            raise ValueError(f"confusion matrix counts must be non-negative integers, "
+                             f"got {bad[0]!r}")
+        self.counts = cells.astype(np.int64)
         if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError(f"confusion matrix must be square, got {self.counts.shape}")
-        if (self.counts < 0).any():
-            raise ValueError("confusion matrix counts must be non-negative")
         if not self.class_names:
             self.class_names = [f"class{i}" for i in range(self.counts.shape[0])]
+        if (not isinstance(self.class_names, (list, tuple))
+                or not all(isinstance(name, str) for name in self.class_names)):
+            raise ValueError(f"class names must be a list of strings, got {self.class_names!r}")
         if len(self.class_names) != self.counts.shape[0]:
             raise ValueError("class name count does not match matrix size")
 

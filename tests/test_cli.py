@@ -381,6 +381,46 @@ def test_setting_of_the_wrong_type_names_file_and_key(workspace, tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "epochs", "3", "Hyperparams: epochs must be an int >= 0, got '3'"),
+    ("model", "kernel_t", 2, "ModelConfig: kernel_t must be odd, got 2"),
+    ("masking", "p_joint", 7, "MaskingConfig: p_joint must be a number in [0, 1], got 7"),
+], ids=["train", "model", "masking"])
+def test_bad_section_value_is_refused_when_the_config_loads(workspace, tmp_path, capsys,
+                                                            section, key, value, message):
+    # ingest reads none of these sections, yet refuses the file before it
+    # writes anything
+    config = json.loads((workspace / "run.json").read_text())
+    config[section][key] = value
+    config["out"]["archive"] = str(tmp_path / "never.fgcn")
+    bad = tmp_path / "run.json"
+    bad.write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as info:
+        load_run_config(bad)
+    assert str(info.value) == f"{bad}: config section '{section}': {message}"
+    assert main(["ingest", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "never.fgcn").exists()
+
+
+@pytest.mark.parametrize("class_names, confusion, message", [
+    *[(["fall", "walk"], [[count, 2], [0, 5]],
+       f"confusion matrix counts must be non-negative integers, got {count!r}")
+      for count in (1.7, True, "3", 1e30, -1)],
+    ([1, 2], [[1, 2], [0, 5]], "class names must be a list of strings, got [1, 2]"),
+    ("ab", [[1, 2], [0, 5]], "class names must be a list of strings, got 'ab'"),
+    (["fall", "walk"], [[0, 0], [0, 0]], "metrics: empty confusion matrix"),
+])
+def test_report_refuses_a_bad_saved_report_naming_the_file(tmp_path, capsys, class_names,
+                                                           confusion, message):
+    saved = tmp_path / "report.json"
+    saved.write_text(json.dumps({"class_names": class_names, "confusion": confusion}))
+    assert main(["report", "--metrics", str(saved)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: report: unreadable metrics file {saved}: {message}\n"
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"train": {"learnig_rate": 0.1}}))
