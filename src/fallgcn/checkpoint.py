@@ -4,6 +4,9 @@ Used for parameter checkpoints and ingested clip archives. The layout
 is fixed-endian and timestamp-free, so writing the same content twice
 produces byte-identical files and float64 values round-trip bit-exactly.
 
+Record names are unique within a file: a reader refuses a name that
+repeats an earlier record's.
+
 Layout (all integers little-endian):
     magic   4 bytes  b"FGCN"
     version u32      1
@@ -63,8 +66,9 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray],
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (arrays in original order, metadata dict).
 
-    Any malformed content raises :class:`CheckpointError` naming the
-    path and the byte offset where the bad field starts.
+    Any malformed content, a repeated record name included, raises
+    :class:`CheckpointError` naming the path and the byte offset where
+    the bad field starts.
     """
     buf = Path(path).read_bytes()
     pos = 0
@@ -104,8 +108,12 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     (count,) = struct.unpack("<Q", take(8))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
+        record_at = pos
         (name_len,) = struct.unpack("<H", take(2))
         name = text(name_len, "record name")
+        if name in arrays:
+            raise CheckpointError(f"{path}: record '{name}' at byte {record_at} repeats "
+                                  f"the name of an earlier record")
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise CheckpointError(f"{path}: record '{name}' has unknown dtype code {code}")

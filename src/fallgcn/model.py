@@ -159,6 +159,16 @@ def _build_stream(name: str, config: ModelConfig, norm_adj: np.ndarray,
     return Stream(blocks, motion=name == "motion")
 
 
+class _NoDraws:
+    """Stands in for the init generator: ``normal`` hands out an
+    uninitialised array of the asked size, as every layer draws its
+    weights through ``rng.normal(loc, scale, size)``."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
+        return np.empty(size)
+
+
 class ThreeStreamModel(Layer):
     """Joint, motion and skip :class:`Stream` features, concatenated in
     ``config.streams`` order and classified by the head.
@@ -171,6 +181,17 @@ class ThreeStreamModel(Layer):
     """
 
     def __init__(self, config: ModelConfig, norm_adj: np.ndarray):
+        self._build(config, norm_adj, np.random.default_rng(config.init_seed))
+
+    @classmethod
+    def _unfilled(cls, config: ModelConfig, norm_adj: np.ndarray) -> "ThreeStreamModel":
+        """The same layer tree with its drawn weights left uninitialised,
+        for :func:`load_model` to fill from records: nothing is drawn."""
+        model = cls.__new__(cls)
+        model._build(config, norm_adj, _NoDraws)
+        return model
+
+    def _build(self, config: ModelConfig, norm_adj: np.ndarray, rng) -> None:
         norm_adj = np.asarray(norm_adj, dtype=np.float64)
         if norm_adj.shape != (config.joint_count, config.joint_count):
             raise ValueError(
@@ -179,7 +200,6 @@ class ThreeStreamModel(Layer):
             )
         self.config = config
         self.norm_adj = norm_adj
-        rng = np.random.default_rng(config.init_seed)
         self.streams = {name: _build_stream(name, config, norm_adj, rng)
                         for name in STREAM_NAMES if name in config.streams}
         self.head = ClassifierHead(len(config.streams) * config.channels[1], config.head_hidden,
@@ -256,6 +276,16 @@ def save_model(model: ThreeStreamModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ThreeStreamModel:
+    """Rebuild a model written by :func:`save_model`.
+
+    The layer tree is built from the checkpoint's ``model_config`` and
+    ``adjacency`` record without drawing initial weights, and every
+    parameter is then the array of its record, under the same name and
+    in the same order. A record that is not float64 or not finite, a
+    missing or unexpected record and a shape the config does not give
+    are refused with :class:`CheckpointError` naming the path and the
+    record; so is a repeated record name (:func:`load_arrays`).
+    """
     arrays, meta = load_arrays(path)
     if "model_config" not in meta:
         raise CheckpointError(f"{path}: missing model_config metadata")
@@ -266,11 +296,14 @@ def load_model(path: str | Path) -> ThreeStreamModel:
     if "adjacency" not in arrays:
         raise CheckpointError(f"{path}: missing adjacency record")
     for name, array in arrays.items():
+        if array.dtype != np.float64:
+            raise CheckpointError(f"{path}: record '{name}' has dtype {array.dtype}, "
+                                  f"expected float64")
         bad = np.flatnonzero(~np.isfinite(array))
         if bad.size:
             raise CheckpointError(f"{path}: record '{name}' is not finite at flat index {bad[0]}")
     try:
-        model = ThreeStreamModel(config, arrays.pop("adjacency"))
+        model = ThreeStreamModel._unfilled(config, arrays.pop("adjacency"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: cannot build the model from model_config: {exc}") from exc
     expected = dict(model.parameters())

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -114,4 +115,16 @@ def test_rejects_non_utf8_record_name(tmp_path):
     path = tmp_path / "x"
     path.write_bytes(_container(b"", _record_header(b"\xff", ()) + b"\x00" * 8, count=1))
     with pytest.raises(CheckpointError, match="record name at byte 26 is not UTF-8"):
+        load_arrays(path)
+
+
+def test_rejects_repeated_record_name(tmp_path):
+    # a dict keeps one 'w', so the second record's values would silently win
+    path = tmp_path / "x"
+    first = _record_header(b"w", (1,)) + struct.pack("<d", 1.0)
+    second = _record_header(b"w", (1,)) + struct.pack("<d", 2.0)
+    path.write_bytes(_container(b"", first + second, count=2))
+    second_at = 24 + len(first)  # header with empty metadata, then the first record
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: record 'w' at byte {second_at} repeats"):
         load_arrays(path)

@@ -1,6 +1,8 @@
 """Three-stream model: motion op, forward contract, classifier head,
 parameter/FLOP accounting, and checkpointing."""
 import hashlib
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from conftest import ring_adjacency, tiny_model_config
 from fallgcn import autodiff as ad
 from fallgcn.autodiff import Tensor, grad_check
-from fallgcn.checkpoint import CheckpointError
+from fallgcn.checkpoint import CheckpointError, load_arrays, save_arrays
+from fallgcn.layers import MaskingConfig
 from fallgcn.model import (
     ClassifierHead,
     ModelConfig,
@@ -19,6 +22,8 @@ from fallgcn.model import (
     load_model,
     save_model,
 )
+from fallgcn.skeleton_io import SkeletonClip
+from fallgcn.training import Hyperparams, train
 
 
 # --- motion ----------------------------------------------------------------
@@ -357,15 +362,124 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, tiny_model):
     assert np.array_equal(again.forward(clip).data, before)
 
 
+RELOAD_PLANS = pytest.mark.parametrize("tcn, streams", [
+    ("separable", ("joint", "motion", "skip")), ("dense", ("joint", "motion", "skip")),
+    ("separable", ("skip",)), ("dense", ("skip",)),
+], ids=["separable", "dense", "separable-skip", "dense-skip"])
+
+
+def _saved_model(tmp_path, tcn, streams, **overrides):
+    model = ThreeStreamModel(tiny_model_config(tcn=tcn, streams=streams, **overrides),
+                             ring_adjacency(5))
+    path = tmp_path / "model.fgcn"
+    save_model(model, path)
+    return model, path
+
+
+@RELOAD_PLANS
+def test_load_model_draws_no_initial_weights(tmp_path, monkeypatch, tcn, streams):
+    # every parameter comes from its record, so drawing initial weights
+    # for it first is wasted work: count the draws of every generator made
+    drawn = []
+    make_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def normal(self, loc, scale, size):
+            drawn.append(size)
+            return self.rng.normal(loc, scale, size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    _, path = _saved_model(tmp_path, tcn, streams)
+    assert drawn  # the counter sees a build's draws
+    drawn.clear()
+    load_model(path)
+    assert drawn == []
+
+
+@RELOAD_PLANS
+def test_loaded_parameters_are_the_records_in_owned_float64_arrays(tmp_path, tcn, streams):
+    model, path = _saved_model(tmp_path, tcn, streams)
+    loaded = load_model(path)
+    saved = model.parameters()
+    assert [n for n, _ in loaded.parameters()] == [n for n, _ in saved]
+    for (name, p), (_, q) in zip(loaded.parameters(), saved):
+        flags = p.data.flags
+        assert p.data.dtype == np.float64, name
+        assert flags.owndata and flags.writeable and flags.aligned and flags.c_contiguous, name
+        assert np.array_equal(p.data.view(np.uint64), q.data.view(np.uint64)), name
+        assert p.requires_grad, name
+
+
+@RELOAD_PLANS
+def test_training_a_loaded_model_matches_training_the_saved_one(tmp_path, tcn, streams):
+    # masking and dropout on: the loaded model must draw its training
+    # randomness as the saved one does, and start from the same bits
+    model, path = _saved_model(tmp_path, tcn, streams, dropout=0.1,
+                               masking=MaskingConfig(0.1, 0.1))
+    loaded = load_model(path)
+    rng = np.random.default_rng(4)
+    clips = [SkeletonClip(data=rng.normal(size=(2, 8, 5)), label=i % 2) for i in range(6)]
+    hp = Hyperparams(batch_size=2, epochs=1, seed=3)  # two steps
+    runs = [train(m, clips[:4], clips[4:], hp) for m in (model, loaded)]
+    assert [h.train_loss.hex() for h in runs[0]] == [h.train_loss.hex() for h in runs[1]]
+    for (name, p), (_, q) in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(p.data.view(np.uint64), q.data.view(np.uint64)), name
+
+
 def test_checkpoint_rejects_config_mismatch(tmp_path, tiny_model):
     path = tmp_path / "model.fgcn"
     save_model(tiny_model, path)
-    from fallgcn.checkpoint import load_arrays, save_arrays
-
     arrays, meta = load_arrays(path)
     del arrays["head.fc2.bias"]
     save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match="head.fc2.bias"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("record", ["head.fc2.bias", "joint.block1.sgc.mask", "adjacency"])
+def test_checkpoint_rejects_int64_record(tmp_path, tiny_model, record):
+    # an int64 parameter would load, and training would fail inside sgd_step
+    path = tmp_path / "model.fgcn"
+    save_model(tiny_model, path)
+    arrays, meta = load_arrays(path)
+    arrays[record] = arrays[record].astype(np.int64)
+    save_arrays(path, arrays, meta)
+    why = f"^{re.escape(str(path))}: record '{record}' has dtype int64, expected float64"
+    with pytest.raises(CheckpointError, match=why):
+        load_model(path)
+
+
+def test_checkpoint_rejects_a_flipped_dtype_code(tmp_path, tiny_model):
+    # the dtype code follows the record name; bit 0 turns float64 (0) into int64 (1)
+    path = tmp_path / "model.fgcn"
+    save_model(tiny_model, path)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"head.fc2.bias") + len(b"head.fc2.bias")] ^= 1
+    path.write_bytes(bytes(data))
+    why = f"^{re.escape(str(path))}: record 'head.fc2.bias' has dtype int64"
+    with pytest.raises(CheckpointError, match=why):
+        load_model(path)
+
+
+def test_checkpoint_rejects_a_repeated_parameter_record(tmp_path, tiny_model):
+    # a second 'head.fc2.bias' leaves the set of names matching the config;
+    # it must not silently replace the first record's values
+    path = tmp_path / "model.fgcn"
+    save_model(tiny_model, path)
+    one = tmp_path / "one.fgcn"
+    save_arrays(one, {"head.fc2.bias": np.ones(2)})
+    first_record_at = 4 + 4 + 8 + 2 + 8  # magic, version, meta length, b"{}", count
+    data = bytearray(path.read_bytes())
+    count_at = 16 + struct.unpack("<Q", data[8:16])[0]
+    (count,) = struct.unpack("<Q", data[count_at:count_at + 8])
+    data[count_at:count_at + 8] = struct.pack("<Q", count + 1)
+    repeat_at = len(data)
+    path.write_bytes(bytes(data) + one.read_bytes()[first_record_at:])
+    why = f"^{re.escape(str(path))}: record 'head.fc2.bias' at byte {repeat_at} repeats"
+    with pytest.raises(CheckpointError, match=why):
         load_model(path)
 
 
@@ -375,8 +489,6 @@ def test_checkpoint_rejects_config_mismatch(tmp_path, tiny_model):
     ("adjacency", 3, np.inf),
 ])
 def test_checkpoint_rejects_non_finite_record(tmp_path, tiny_model, record, index, value):
-    from fallgcn.checkpoint import load_arrays, save_arrays
-
     path = tmp_path / "model.fgcn"
     save_model(tiny_model, path)
     arrays, meta = load_arrays(path)
@@ -405,8 +517,6 @@ def test_checkpoint_rejects_non_finite_record(tmp_path, tiny_model, record, inde
     (lambda cfg: cfg["masking"].update(p_joint=True), "p_joint"),
 ])
 def test_checkpoint_rejects_malformed_model_config(tmp_path, tiny_model, edit, bad_key):
-    from fallgcn.checkpoint import load_arrays, save_arrays
-
     path = tmp_path / "model.fgcn"
     save_model(tiny_model, path)
     arrays, meta = load_arrays(path)

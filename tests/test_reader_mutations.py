@@ -1,21 +1,28 @@
-"""Seeded byte mutations of the text inputs of every reader: a byte set
+"""Seeded byte mutations of the input files of every reader: a byte set
 to a random value, a run of bytes deleted, a run of random bytes
 inserted, one bit flipped. Each mutated file must either load or raise
-that reader's own error, with a message that starts with the path."""
+one of that reader's own errors, with a message that starts with the
+path."""
 import json
 
 import numpy as np
 import pytest
 
+from conftest import ring_adjacency, tiny_model_config
+from fallgcn.checkpoint import CheckpointError
 from fallgcn.config import ConfigError, load_run_config
 from fallgcn.layouts import LayoutError, builtin_layout, format_layout, load_layout
+from fallgcn.model import ThreeStreamModel, load_model, save_model
 from fallgcn.skeleton_io import (
     ClipFormatError,
     ManifestEntry,
     ManifestError,
+    SkeletonClip,
     SkeletonSequence,
+    load_clip_archive,
     parse_sequence_records,
     read_manifest,
+    save_clip_archive,
     write_manifest,
     write_sequences,
 )
@@ -73,11 +80,30 @@ def _config_file(tmp_path):
     return path
 
 
+def _checkpoint_file(tmp_path):
+    path = tmp_path / "model.fgcn"
+    save_model(ThreeStreamModel(tiny_model_config(), ring_adjacency(5)), path)
+    return path
+
+
+def _archive_file(tmp_path):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "clips.fgcn"
+    save_clip_archive(path, [SkeletonClip(data=np.round(rng.normal(size=(2, 3, 9)), 2),
+                                          label=i % 2) for i in range(4)],
+                      ["adl", "fall"], STICK9, stride=3)
+    return path
+
+
+# the archive reader raises CheckpointError for a container fault and
+# ClipFormatError for an archive fault
 READERS = {
     "layout": (_layout_file, load_layout, LayoutError),
     "sequences": (_sequence_file, lambda p: parse_sequence_records(p, STICK9), ClipFormatError),
     "manifest": (_manifest_file, lambda p: read_manifest(p, "stick9"), ManifestError),
     "run-config": (_config_file, load_run_config, ConfigError),
+    "checkpoint": (_checkpoint_file, load_model, CheckpointError),
+    "clip-archive": (_archive_file, load_clip_archive, (CheckpointError, ClipFormatError)),
 }
 
 
