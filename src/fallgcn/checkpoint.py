@@ -89,10 +89,10 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: {what} at byte {start} is not UTF-8") from exc
 
     if take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a fallgcn container")
+        raise CheckpointError(f"{path}: bad magic at byte 0, not a fallgcn container")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported container version {version}")
+        raise CheckpointError(f"{path}: unsupported container version {version} at byte 4")
     (meta_len,) = struct.unpack("<Q", take(8))
     meta_at = pos
     meta = {}
@@ -116,7 +116,8 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                                   f"the name of an earlier record")
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
-            raise CheckpointError(f"{path}: record '{name}' has unknown dtype code {code}")
+            raise CheckpointError(f"{path}: record '{name}' has unknown dtype code {code} "
+                                  f"at byte {pos - 2}")
         shape_at = pos
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         n_bytes = math.prod(shape) * _DTYPES[code].itemsize  # Python ints: no wrap
@@ -135,5 +136,5 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         data = np.frombuffer(take(n_bytes), dtype=_DTYPES[code]).reshape(shape)
         arrays[name] = data.astype(data.dtype.newbyteorder("="), copy=True)
     if pos != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes")
+        raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes at byte {pos}")
     return arrays, meta

@@ -57,6 +57,13 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an int >= 0, as ``Hyperparams`` and numpy take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -265,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {
         "config": dict(help="JSON run configuration file"),
-        "seed": dict(type=int, help="override all run seeds"),
+        "seed": dict(type=_seed, help="override all run seeds"),
         "out": dict(help="override the command's output path"),
         "format": dict(choices=("text", "machine"), default="text"),
     }

@@ -1,10 +1,9 @@
-"""Run configuration: one JSON file holding data, model, masking, and
-training settings. Unknown keys are rejected by name so typos never
-silently fall back to defaults, and a data or output setting of the
-wrong type by its dotted key. The model, masking and train sections take their keys
-and defaults from ``ModelConfig``, ``MaskingConfig`` and
-``Hyperparams``, which check their values when the file loads, so every
-command refuses a bad value with the file and section named.
+"""Run configuration: one JSON file holding data, model, masking, train
+and output settings. Unknown keys are rejected by name so typos never
+silently fall back to defaults. Each section takes its keys and defaults
+from its dataclass in :data:`SECTIONS`, which checks the values when the
+file loads, so every command refuses a bad value with the file and
+section named.
 """
 from __future__ import annotations
 
@@ -38,63 +37,69 @@ def archive_fields(clips: list[SkeletonClip], class_names: list[str],
     return {name: read(clips, class_names, layout) for name, read in ARCHIVE_FIELDS.items()}
 
 
+@dataclasses.dataclass
+class DataConfig:
+    """Input paths, windowing and train/validation split. A path that is
+    not a string would reach open() as a file descriptor."""
+
+    layout: str = "coco18"
+    manifest: str | None = None
+    archive: str | None = None
+    clip_len: int = 64
+    stride: int = 32
+    train_fraction: float = 0.9
+    split_seed: int = 7
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.layout, str):
+            raise ValueError(f"DataConfig: layout must be a string, got {self.layout!r}")
+        for name in ("manifest", "archive"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"DataConfig: {name} must be a string or null, got {value!r}")
+        for name, least in (("clip_len", 2), ("stride", 1), ("split_seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise ValueError(f"DataConfig: {name} must be an int >= {least}, got {value!r}")
+        if not (is_real(self.train_fraction) and 0.0 < self.train_fraction < 1.0):
+            raise ValueError("DataConfig: train_fraction must be a number in (0, 1), "
+                             f"got {self.train_fraction!r}")
+
+
+@dataclasses.dataclass
+class OutConfig:
+    """The default output path of each command."""
+
+    checkpoint: str = "model.fgcn"
+    history: str = "history.csv"
+    report: str = "report.json"
+    archive: str = "clips.fgcn"
+
+    def __post_init__(self) -> None:
+        for name, value in dataclasses.asdict(self).items():
+            if not isinstance(value, str):
+                raise ValueError(f"OutConfig: {name} must be a string, got {value!r}")
+
+
+# The dataclass that gives each section its keys and defaults and checks
+# its values; the model section is checked with the archive fields and the
+# masking at their defaults.
+SECTIONS = {"data": DataConfig, "model": ModelConfig, "masking": MaskingConfig,
+            "train": Hyperparams, "out": OutConfig}
+
+# The model section has no key for the archive fields, and the masking
+# settings have a section of their own.
 DEFAULTS: dict = {
-    "data": {
-        "layout": "coco18",
-        "manifest": None,
-        "archive": None,
-        "clip_len": 64,
-        "stride": 32,
-        "train_fraction": 0.9,
-        "split_seed": 7,
-    },
-    # masking settings have a section of their own
-    "model": {key: value for key, value in ModelConfig().to_dict().items()
-              if key not in ARCHIVE_FIELDS and key != "masking"},
-    "masking": dataclasses.asdict(MaskingConfig()),
-    "train": dataclasses.asdict(Hyperparams()),
-    "out": {
-        "checkpoint": "model.fgcn",
-        "history": "history.csv",
-        "report": "report.json",
-        "archive": "clips.fgcn",
-    },
+    section: {key: list(value) if isinstance(value, tuple) else value
+              for key, value in dataclasses.asdict(cls()).items()
+              if section != "model" or key not in {*ARCHIVE_FIELDS, "masking"}}
+    for section, cls in SECTIONS.items()
 }
-
-
-def _is_text(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_text_or_null(value) -> bool:
-    return value is None or isinstance(value, str)
-
-
-# What each data and output setting must be: the model, masking and train
-# sections are checked by their dataclasses, these by load_run_config. A
-# path that is not a string would reach open() as a file descriptor.
-_SETTING_TYPES = {
-    "data": {
-        "layout": (_is_text, "a string"),
-        "manifest": (_is_text_or_null, "a string or null"),
-        "archive": (_is_text_or_null, "a string or null"),
-        "clip_len": (is_int, "an integer"),
-        "stride": (is_int, "an integer"),
-        "train_fraction": (is_real, "a number"),
-        "split_seed": (is_int, "an integer"),
-    },
-    "out": {key: (_is_text, "a string") for key in DEFAULTS["out"]},
-}
-
-
-# The dataclass that checks each setting of a section; the model section
-# is built with the archive fields and the masking at their defaults.
-_SECTION_CLASSES = {"model": ModelConfig, "masking": MaskingConfig, "train": Hyperparams}
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys, settings of the wrong type, values that a
-    section's dataclass refuses or unreadable config files."""
+    """Raised for unknown keys, values that a section's dataclass refuses
+    or unreadable config files."""
 
 
 def _merge(base: dict, override: dict, path: str = "") -> None:
@@ -126,19 +131,13 @@ def load_run_config(path: str | Path | None) -> dict:
             raise ConfigError(f"{p}: config root must be an object")
         try:
             _merge(cfg, user)
-            for section, types in _SETTING_TYPES.items():
-                for key, (valid, kind) in types.items():
-                    value = cfg[section][key]
-                    if not valid(value):
-                        raise ConfigError(f"config key '{section}.{key}' must be {kind}, "
-                                          f"got {value!r}")
-            for section, cls in _SECTION_CLASSES.items():
-                try:
-                    cls(**cfg[section])
-                except ValueError as exc:
-                    raise ConfigError(f"config section '{section}': {exc}") from None
         except ConfigError as exc:
             raise ConfigError(f"{p}: {exc}") from None
+        for section, cls in SECTIONS.items():
+            try:
+                cls(**cfg[section])
+            except ValueError as exc:
+                raise ConfigError(f"{p}: config section '{section}': {exc}") from None
     return cfg
 
 

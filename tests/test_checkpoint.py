@@ -37,7 +37,7 @@ def test_same_content_same_bytes(tmp_path):
 def test_rejects_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "x"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(CheckpointError, match="bad magic at byte 0,"):
         load_arrays(path)
     save_arrays(path, {"a": np.ones(4)})
     whole = path.read_bytes()
@@ -45,7 +45,17 @@ def test_rejects_bad_magic_and_truncation(tmp_path):
     with pytest.raises(CheckpointError, match="truncated"):
         load_arrays(path)
     path.write_bytes(whole + b"junk")
-    with pytest.raises(CheckpointError, match="trailing"):
+    with pytest.raises(CheckpointError, match=f": 4 trailing bytes at byte {len(whole)}$"):
+        load_arrays(path)
+
+
+def test_rejects_unsupported_version_at_its_offset(tmp_path):
+    path = tmp_path / "x"
+    save_arrays(path, {"a": np.ones(4)})
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="unsupported container version 2 at byte 4$"):
         load_arrays(path)
 
 
@@ -92,6 +102,17 @@ def test_largest_dimension_count_round_trips(tmp_path):
     assert arrays["a"].shape == (1,) * 32 and arrays["b"].shape == (0, 2 ** 40)
     with pytest.raises(CheckpointError, match="33 dimensions, at most 32"):
         save_arrays(path, {"a": np.zeros((1,) * 33)})
+
+
+def test_rejects_unknown_dtype_code_at_its_offset(tmp_path):
+    path = tmp_path / "x"
+    header = bytearray(_record_header(b"ab", (1,)))
+    header[4] = 7  # the dtype code follows the u16 name length and the name
+    path.write_bytes(_container(b"", bytes(header) + b"\x00" * 8, count=1))
+    code_at = 24 + 4  # header with empty metadata, then the name length and name
+    with pytest.raises(CheckpointError,
+                       match=f"record 'ab' has unknown dtype code 7 at byte {code_at}$"):
+        load_arrays(path)
 
 
 def test_rejects_record_larger_than_file(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 
 from fallgcn import cli
 from fallgcn.cli import build_parser, main
-from fallgcn.config import ARCHIVE_FIELDS, ConfigError, load_run_config
+from fallgcn.config import ARCHIVE_FIELDS, ConfigError, DataConfig, OutConfig, load_run_config
 from fallgcn.layers import MaskingConfig
 from fallgcn.layouts import builtin_layout
 from fallgcn.metrics import format_report, metrics
@@ -357,50 +357,56 @@ def test_gradcheck_command_passes(monkeypatch, capsys):
     assert seeds == [0, 3]
 
 
-@pytest.mark.parametrize("command, section, key, value", [
-    ("ingest", "data", "clip_len", "32"),
-    ("ingest", "data", "stride", 8.0),
-    ("ingest", "data", "layout", 5),
-    ("ingest", "data", "manifest", ["manifest.csv"]),
-    ("train", "data", "train_fraction", "0.9"),
-    ("train", "data", "split_seed", 1.5),
-    ("train", "data", "archive", True),
-    ("train", "out", "history", 1),
-    ("ingest", "out", "archive", None),
-])
-def test_setting_of_the_wrong_type_names_file_and_key(workspace, tmp_path, capsys,
-                                                      command, section, key, value):
-    config = json.loads((workspace / "run.json").read_text())
-    config[section][key] = value
-    bad = tmp_path / "run.json"
-    bad.write_text(json.dumps(config))
-    assert main([command, "--config", str(bad)]) == 1
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_flag_refuses_a_value_that_is_not_a_count(capsys, command, seed):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", seed])
+    assert info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: config key '{section}.{key}' must be ")
-    assert f"got {value!r}" in err
-    assert "Traceback" not in err
+    assert err.endswith(f"error: argument --seed: must be an int >= 0, got {seed!r}\n")
 
 
-@pytest.mark.parametrize("section, key, value, message", [
-    ("train", "epochs", "3", "Hyperparams: epochs must be an int >= 0, got '3'"),
-    ("model", "kernel_t", 2, "ModelConfig: kernel_t must be odd, got 2"),
-    ("masking", "p_joint", 7, "MaskingConfig: p_joint must be a number in [0, 1], got 7"),
-], ids=["train", "model", "masking"])
+BAD_SECTION_VALUES = [
+    ("ingest", "data", "clip_len", "32", "must be an int >= 2"),
+    ("ingest", "data", "clip_len", 1, "must be an int >= 2"),
+    ("ingest", "data", "stride", 8.0, "must be an int >= 1"),
+    ("ingest", "data", "stride", 0, "must be an int >= 1"),
+    ("ingest", "data", "layout", 5, "must be a string"),
+    ("ingest", "data", "manifest", ["manifest.csv"], "must be a string or null"),
+    ("train", "data", "train_fraction", "0.9", "must be a number in (0, 1)"),
+    ("train", "data", "train_fraction", 0.0, "must be a number in (0, 1)"),
+    ("train", "data", "train_fraction", 1.0, "must be a number in (0, 1)"),
+    ("train", "data", "split_seed", 1.5, "must be an int >= 0"),
+    ("train", "data", "split_seed", -1, "must be an int >= 0"),
+    ("train", "data", "archive", True, "must be a string or null"),
+    ("train", "out", "history", 1, "must be a string"),
+    ("ingest", "out", "archive", None, "must be a string"),
+    # ingest reads none of these sections, yet refuses the file
+    ("ingest", "train", "epochs", "3", "must be an int >= 0"),
+    ("ingest", "model", "kernel_t", 2, "must be odd"),
+    ("ingest", "masking", "p_joint", 7, "must be a number in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("command, section, key, value, rule", BAD_SECTION_VALUES,
+                         ids=[f"{s}.{k}={v!r}" for _, s, k, v, _ in BAD_SECTION_VALUES])
 def test_bad_section_value_is_refused_when_the_config_loads(workspace, tmp_path, capsys,
-                                                            section, key, value, message):
-    # ingest reads none of these sections, yet refuses the file before it
-    # writes anything
+                                                            command, section, key, value, rule):
     config = json.loads((workspace / "run.json").read_text())
+    config["out"] = {name: str(tmp_path / f"never-{name}") for name in config["out"]}
     config[section][key] = value
-    config["out"]["archive"] = str(tmp_path / "never.fgcn")
     bad = tmp_path / "run.json"
     bad.write_text(json.dumps(config))
+    owner = {"data": "DataConfig", "model": "ModelConfig", "masking": "MaskingConfig",
+             "train": "Hyperparams", "out": "OutConfig"}[section]
+    message = f"{bad}: config section '{section}': {owner}: {key} {rule}, got {value!r}"
     with pytest.raises(ConfigError) as info:
         load_run_config(bad)
-    assert str(info.value) == f"{bad}: config section '{section}': {message}"
-    assert main(["ingest", "--config", str(bad)]) == 1
-    assert capsys.readouterr().err == f"error: {info.value}\n"
-    assert not (tmp_path / "never.fgcn").exists()
+    assert str(info.value) == message
+    assert main([command, "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 @pytest.mark.parametrize("class_names, confusion, message", [
@@ -479,6 +485,8 @@ def test_defaults_come_from_the_dataclasses():
     assert ModelConfig(**cfg["model"]) == ModelConfig()
     assert cfg["masking"] == dataclasses.asdict(MaskingConfig())
     assert cfg["train"] == dataclasses.asdict(Hyperparams())
+    assert cfg["data"] == dataclasses.asdict(DataConfig())
+    assert cfg["out"] == dataclasses.asdict(OutConfig())
 
 
 def test_readme_run_configuration_is_the_defaults():
